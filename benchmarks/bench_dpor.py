@@ -189,14 +189,14 @@ def _torn_shard_sizes():
     serial = Explorer(kernel.buggy, max_schedules=BUDGET)
     target = max(2, STEAL_WORKERS * STEAL_SHARD_FACTOR)
     root, frontier = serial._search(
-        [([], 0, None)], kernel.failure, False, target
+        [([], 0, None, None)], kernel.failure, False, target
     )
     sizes = []
-    for prefix, paid, snapshot in reversed(frontier):  # serial DFS order
+    for prefix, paid, snapshot, _ in reversed(frontier):  # serial DFS order
         shard_explorer = Explorer(kernel.buggy, max_schedules=BUDGET)
         start = perf_counter()
         result, _ = shard_explorer._search(
-            [(list(prefix), paid, snapshot)], kernel.failure, False, None
+            [(list(prefix), paid, snapshot, None)], kernel.failure, False, None
         )
         sizes.append({
             "schedules": result.schedules_run,

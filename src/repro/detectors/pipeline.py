@@ -541,11 +541,10 @@ class DetectorPipeline:
         """Apply one event to the shared state and dispatch it once.
 
         Events with ``seq`` below the restore point are replayed prefix
-        steps the pipeline has already analysed; they are counted as
-        reused and skipped entirely.
+        steps the pipeline has already analysed (and :meth:`restore`
+        already counted as reused); they are skipped entirely.
         """
         if event.seq < self._skip:
-            self.stats.events_reused += 1
             return
         state = self.state
         state.apply(event)
@@ -591,8 +590,10 @@ class DetectorPipeline:
         """Roll back to a snapshot and start a new pass from it.
 
         The snapshot's contents are copied (it may seed several sibling
-        subtrees); replayed events with ``seq < snap.events_seen`` will be
-        skipped by :meth:`feed`.
+        subtrees).  The ``snap.events_seen`` prefix events are credited as
+        reused here, in bulk: an engine that adopts its parent run's
+        trace never feeds them, and one that replays with emission feeds
+        them only to have :meth:`feed` skip them.
         """
         self.state = snap.state.copy()
         self._locals = {
@@ -600,6 +601,7 @@ class DetectorPipeline:
             for name, local in snap.locals.items()
         }
         self._skip = snap.events_seen
+        self.stats.events_reused += snap.events_seen
         self.stats.restores += 1
         self.stats.passes += 1
 

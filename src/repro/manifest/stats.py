@@ -20,11 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Tuple
 
-from scipy import stats as scipy_stats
-
 __all__ = ["wilson_interval", "runs_needed", "compare_rates", "RateComparison"]
+
+#: The standard normal distribution (quantiles for intervals, tails for
+#: z-tests).
+_NORMAL = NormalDist()
 
 
 def wilson_interval(
@@ -41,7 +44,7 @@ def wilson_interval(
         raise ValueError("successes must be between 0 and runs")
     if runs == 0:
         return (0.0, 1.0)
-    z = float(scipy_stats.norm.ppf(1 - (1 - confidence) / 2))
+    z = _NORMAL.inv_cdf(1 - (1 - confidence) / 2)
     phat = successes / runs
     denom = 1 + z * z / runs
     centre = (phat + z * z / (2 * runs)) / denom
@@ -101,5 +104,5 @@ def compare_rates(
         z = 0.0
     else:
         z = (pa - pb) / se
-    p_value = 2 * (1 - scipy_stats.norm.cdf(abs(z)))
+    p_value = 2 * (1 - _NORMAL.cdf(abs(z)))
     return RateComparison(rate_a=pa, rate_b=pb, z_score=z, p_value=float(p_value))

@@ -107,14 +107,17 @@ from repro.sim.explorer import (
     _fill_pipeline,
     _outcome_key,
     _preemption_cost,
+    _previous,
     _record_exploration,
     _record_pipeline_stats,
+    _start_pass,
 )
 from repro.sim.program import Program
 from repro.sim.reduction import Token, op_footprint, ops_dependent
 from repro.sim.scheduler import Scheduler
 from repro.sim.statecache import MemoHit, StateCache, state_fingerprint
 from repro.sim.thread import ThreadState
+from repro.sim.trace import Trace
 
 __all__ = ["DPORExplorer"]
 
@@ -261,14 +264,15 @@ class _Node:
 
 
 class _DPORScheduler(Scheduler):
-    """Replay a prefix, then extend while recording fresh decisions.
+    """Extend a run past its prefix while recording fresh decisions.
 
-    Identical extension discipline to the sleep-set scheduler: threads
-    asleep at a node are never chosen, sleepers wake when a dependent
-    operation executes, and a node whose enabled threads are all asleep
-    prunes the run.  Beyond the prefix it records, per decision, the
-    enabled set, every enabled thread's pending op and footprint, the
-    running sleep set, the preemption cost paid so far, and (with a
+    The engine replays the forced prefix, so every ``choose`` call is a
+    fresh decision.  Identical extension discipline to the sleep-set
+    scheduler: threads asleep at a node are never chosen, sleepers wake
+    when a dependent operation executes, and a node whose enabled
+    threads are all asleep prunes the run.  It records, per decision,
+    the enabled set, every enabled thread's pending op and footprint,
+    the running sleep set, the preemption cost paid so far, and (with a
     pipeline) a branch-point snapshot.
 
     ``track_sleep=False`` (bounded mode) keeps the sleep set empty for
@@ -279,7 +283,6 @@ class _DPORScheduler(Scheduler):
 
     def __init__(
         self,
-        prefix: Sequence[str],
         initial_sleep: FrozenSet[str],
         pipeline: Optional[Any] = None,
         directed: Optional[_DirectedPolicy] = None,
@@ -287,7 +290,6 @@ class _DPORScheduler(Scheduler):
         preemption_bound: Optional[int] = None,
         cache: Optional[StateCache] = None,
     ):
-        self.prefix = list(prefix)
         self.initial_sleep = initial_sleep if track_sleep else frozenset()
         self.pipeline = pipeline
         self.directed = directed
@@ -303,9 +305,8 @@ class _DPORScheduler(Scheduler):
         self.pending_ops: List[Dict[str, ops.Op]] = []
         self.node_snapshots: List[Optional[Any]] = []
         self.paid_values: List[int] = []
-        self._sleep: FrozenSet[str] = frozenset()
-        self._last: Optional[str] = None
-        self._paid = 0
+        self._sleep: FrozenSet[str] = self.initial_sleep
+        self._fresh_paid = 0
         self.pruned = False
         self.memo_hit = False
 
@@ -316,31 +317,18 @@ class _DPORScheduler(Scheduler):
     @property
     def paid(self) -> int:
         """Preemption cost paid by this run so far (prefix included)."""
-        return self._paid
+        return self.engine.prefix_preemptions + self._fresh_paid
 
     def choose(self, enabled: Sequence[str], step: int) -> str:
         ordered = sorted(enabled)
-        index = len(self.choices)
-        if index < len(self.prefix):
-            choice = self.prefix[index]
-            if choice not in enabled:
-                raise ReproError(
-                    f"DPOR prefix diverged at step {index}: {choice!r} not "
-                    f"enabled in {ordered}"
-                )
-            self._paid += _preemption_cost(self._last, choice, ordered)
-            self.choices.append(choice)
-            self._last = choice
-            return choice
-
-        if index == len(self.prefix):
-            self._sleep = self.initial_sleep
-        assert self.engine is not None
+        engine = self.engine
+        last = _previous(engine)
+        paid = self.paid
         # Footprints and pending ops of every *live* thread, not just the
         # enabled ones: race detection must see the next transition of a
         # thread blocked on a lock (its acquire races with the earlier
         # acquire that blocked it — the deadlock-producing reversal).
-        pending = _live_pending(self.engine)
+        pending = _live_pending(engine)
         footprints = {
             name: op_footprint(op, name, self.cond_locks)
             for name, op in pending.items()
@@ -349,7 +337,7 @@ class _DPORScheduler(Scheduler):
         self.sleep_sets.append(self._sleep)
         self.footprints.append(footprints)
         self.pending_ops.append(pending)
-        self.paid_values.append(self._paid)
+        self.paid_values.append(paid)
         awake = (
             [name for name in ordered if name not in self._sleep]
             if self.track_sleep
@@ -366,7 +354,7 @@ class _DPORScheduler(Scheduler):
             raise _DPORPruned("all enabled threads are asleep")
         if self.cache is not None:
             fingerprint: Any = (
-                state_fingerprint(self.engine),
+                state_fingerprint(engine),
                 ("sleep", tuple(sorted(self._sleep))),
             )
             if self.preemption_bound is not None:
@@ -375,27 +363,26 @@ class _DPORScheduler(Scheduler):
                 # explorer's fingerprint refinement).
                 fingerprint = (
                     fingerprint,
-                    ("preemptions", self._paid),
-                    ("last", self._last),
+                    ("preemptions", paid),
+                    ("last", last),
                 )
             if self.cache.seen(fingerprint):
                 self.memo_hit = True
                 raise MemoHit()
         if self.directed is not None:
-            keys = self.directed.key_enabled(self.engine, awake, self._last)
+            keys = self.directed.key_enabled(engine, awake, last)
             choice = min(awake, key=keys.__getitem__)
             if (
                 self.preemption_bound is not None
-                and self._paid
-                + _preemption_cost(self._last, choice, ordered)
+                and paid + _preemption_cost(last, choice, ordered)
                 > self.preemption_bound
-                and self._last in awake
+                and last in awake
             ):
                 # Directed extension would overdraw the budget: fall
                 # back to the free non-preemptive continuation.
-                choice = self._last
-        elif self._last in awake:
-            choice = self._last
+                choice = last
+        elif last in awake:
+            choice = last
         else:
             choice = awake[0]
         if self.track_sleep:
@@ -406,9 +393,8 @@ class _DPORScheduler(Scheduler):
                 if name in footprints
                 and not ops_dependent(footprints[name], chosen_footprint)
             )
-        self._paid += _preemption_cost(self._last, choice, ordered)
+        self._fresh_paid += _preemption_cost(last, choice, ordered)
         self.choices.append(choice)
-        self._last = choice
         return choice
 
     def reset(self) -> None:
@@ -419,9 +405,8 @@ class _DPORScheduler(Scheduler):
         self.pending_ops = []
         self.node_snapshots = []
         self.paid_values = []
-        self._sleep = frozenset()
-        self._last = None
-        self._paid = 0
+        self._sleep = self.initial_sleep
+        self._fresh_paid = 0
         self.pruned = False
         self.memo_hit = False
 
@@ -477,6 +462,9 @@ class DPORExplorer:
         self.ancestor_races: List[Tuple[str, int, FrozenSet[str], str]] = []
         # Search state (valid between _begin and _finish).
         self._path: List[_Node] = []
+        # Trace of the latest run: every node of the current path was
+        # executed by it, so the next branch's prefix events are its own.
+        self._latest: Optional[Trace] = None
         self._frozen = 0
         self._seed: Optional[
             Tuple[List[str], FrozenSet[str], Optional[Any]]
@@ -561,6 +549,7 @@ class DPORExplorer:
         self.ancestor_races = []
         self.cache = StateCache() if self.memoize else None
         self._path = list(base) if base else []
+        self._latest = None
         self._frozen = len(self._path)
         self._seed = seed if seed is not None else ([], frozenset(), None)
         self._attempts = 0
@@ -595,8 +584,8 @@ class DPORExplorer:
     ) -> bool:
         """Fold one engine run into the path and the result tallies."""
         path = self._path
-        pruned_tail = self._extend_path(path, scheduler, base)
-        result.states_expanded += len(scheduler.choices) - base
+        pruned_tail = self._extend_path(path, scheduler)
+        result.states_expanded += len(scheduler.choices)
         result.preemptions_spent += scheduler.paid
         self._detect_races(
             path, base, pruned_tail if pruned_tail is not None else final_tail
@@ -640,15 +629,8 @@ class DPORExplorer:
         snapshot: Optional[Any],
     ) -> Tuple[Optional[RunResult], _DPORScheduler, Optional["_Node"]]:
         pipeline = self.pipeline
-        hook = None
-        if pipeline is not None:
-            if snapshot is not None:
-                pipeline.restore(snapshot)
-            else:
-                pipeline.begin_pass()
-            hook = pipeline.feed
+        hook, parent = _start_pass(pipeline, snapshot, self._latest)
         scheduler = _DPORScheduler(
-            prefix,
             sleep,
             pipeline=pipeline,
             directed=self.directed,
@@ -657,19 +639,20 @@ class DPORExplorer:
             cache=self.cache,
         )
         engine = Engine(
-            self.program, scheduler, max_steps=self.max_steps, event_hook=hook
+            self.program, scheduler, max_steps=self.max_steps, event_hook=hook,
+            prefix=prefix, prefix_events=parent,
         )
         scheduler.attach(engine)
         try:
             run = engine.run()
-        except _DPORPruned:
+        except (_DPORPruned, MemoHit):
+            # A MemoHit node was recorded before the abort, so
+            # _extend_path surfaces it as the tail and its pending ops
+            # join race detection; end-of-trace analyses are skipped (as
+            # in the plain explorer).
             return None, scheduler, None
-        except MemoHit:
-            # The hit node was recorded before the abort, so _extend_path
-            # surfaces it as the tail and its pending ops join race
-            # detection; end-of-trace analyses are skipped (as in the
-            # plain explorer).
-            return None, scheduler, None
+        finally:
+            self._latest = engine.trace
         if pipeline is not None:
             pipeline.finish_pass()
         # A run can end with transitions still pending — deadlocked
@@ -689,7 +672,7 @@ class DPORExplorer:
         return run, scheduler, tail
 
     def _extend_path(
-        self, path: List[_Node], scheduler: _DPORScheduler, base: int
+        self, path: List[_Node], scheduler: _DPORScheduler
     ) -> Optional[_Node]:
         """Append this run's fresh decisions as nodes; return the
         recorded-but-unexecuted tail node (a sleep-pruned or memo-aborted
@@ -705,9 +688,8 @@ class DPORExplorer:
                 snapshot=snapshots[k] if k < len(snapshots) else None,
                 paid=scheduler.paid_values[k],
             )
-            depth = base + k
-            if depth < len(scheduler.choices):
-                node.chosen = scheduler.choices[depth]
+            if k < len(scheduler.choices):
+                node.chosen = scheduler.choices[k]
                 node.done.add(node.chosen)
                 node.backtrack.add(node.chosen)
                 path.append(node)

@@ -16,6 +16,17 @@ The run ends when every thread has finished (``OK``), a thread crashes
 alive (``DEADLOCK`` if the wait-for graph has a cycle, ``HANG`` otherwise),
 or the step budget is exhausted (``ABORTED``).
 
+Exploration runs start with a *forced prefix*: the schedule of the
+branch being re-executed.  The engine owns it (``prefix=``) and replays
+it before the first scheduler decision, checking only that each forced
+thread is enabled — that check is the divergence check.  Replayed steps
+make no scheduler call and no enabled-set scan.  When the caller also
+passes the trace of the run the prefix was cut from (``prefix_events=``),
+replayed steps build no events and call no hook either: the trace starts
+as that run's first events, which are immutable and identical because
+execution is deterministic given the schedule.  The last forced step —
+the new branch — always emits normally.
+
 A key property: *one scheduler decision per shared-state operation*.  This
 is the granularity at which the ASPLOS'08 study reasons about bugs, and it
 is what CPython's real threads cannot give you — the GIL plus opaque OS
@@ -28,9 +39,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ProgramError, SchedulerError
+from repro.errors import ExplorationError, ProgramError, SchedulerError
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.sim import events as ev
@@ -49,7 +60,7 @@ __all__ = ["RunStatus", "RunResult", "Engine", "run_program"]
 #: disabled until the thread's store buffer drains — which forces the
 #: explicit flush pseudo-steps into the schedule first, keeping every
 #: visibility transition a first-class scheduling decision.
-_UNFENCED_OPS = (ops.Read, ops.Write, ops.Yield, ops.Sleep)
+_UNFENCED_OPS = frozenset((ops.Read, ops.Write, ops.Yield, ops.Sleep))
 
 EnabledFilter = Callable[["Engine", List[str]], List[str]]
 
@@ -99,7 +110,14 @@ class RunResult:
 
 
 class Engine:
-    """Executes one run of ``program`` under ``scheduler``."""
+    """Executes one run of ``program`` under ``scheduler``.
+
+    ``prefix`` forces the first steps (see the module docstring).  With
+    ``prefix_events`` — the trace of the run the prefix was cut from —
+    ``event_hook`` sees no event before the last forced step, so the
+    caller must only pass it when the hook needs none (a streaming
+    pipeline restored from the branch point's snapshot).
+    """
 
     def __init__(
         self,
@@ -108,6 +126,8 @@ class Engine:
         max_steps: int = 20000,
         enabled_filter: Optional[EnabledFilter] = None,
         event_hook: Optional[Callable[[ev.Event], None]] = None,
+        prefix: Sequence[str] = (),
+        prefix_events: Optional[Sequence[ev.Event]] = None,
     ):
         self.program = program
         self.scheduler = scheduler
@@ -116,14 +136,24 @@ class Engine:
         # Called with each event right after it is appended to the trace;
         # this is how streaming detector pipelines observe a run live.
         self._event_hook = event_hook
+        self._prefix = prefix
+        # The parent trace while replay counts events instead of
+        # building them; None once the run builds its own.
+        self._reuse = prefix_events if prefix else None
         self.memory = program.make_memory()
         self.sync = program.make_sync()
         self.threads: Dict[str, VirtualThread] = program.make_threads()
         self.trace = Trace()
         self.schedule: List[str] = []
         self.steps = 0
+        #: Preemptions the forced prefix paid: forced switches away from
+        #: a thread that was still enabled.  Exploration schedulers
+        #: continue their accounting from here.
+        self.prefix_preemptions = 0
         self._seq = 0
         self._crashes: List[str] = []
+        # Started threads that have not finished or crashed.
+        self._live = 0
         # Labels already executed, visible to enabled_filter implementations.
         self.executed_labels: List[str] = []
 
@@ -132,23 +162,33 @@ class Engine:
     def run(self) -> RunResult:
         """Drive the program to a terminal state and return the result."""
         self.scheduler.reset()
+        # Observability is hoisted out of the step loops: the disabled
+        # path pays one None check per run, the enabled path two
+        # perf_counter calls around the replay and around each fresh
+        # step's op execution.
+        profiler = obs_profile.active()
         for name in self.program.start:
             self._start_thread(name)
+        if self._prefix:
+            if profiler is None:
+                self._replay()
+            else:
+                started = perf_counter()
+                self._replay()
+                profiler.add(
+                    "engine.replay", perf_counter() - started, count=self.steps
+                )
+        replayed = self.steps
         status = RunStatus.OK
         blocked: Tuple[Tuple[str, str], ...] = ()
         stop_reason = "all threads finished"
-        # Observability is hoisted out of the step loop: the disabled
-        # path pays one None check per step, the enabled path two
-        # perf_counter calls around op execution.
-        profiler = obs_profile.active()
         execute_seconds = 0.0
         while True:
             if self._crashes:
                 status = RunStatus.CRASH
                 stop_reason = "simulated crash terminated the process"
                 break
-            alive = [t for t in self.threads.values() if t.alive]
-            if not alive and not self.memory.has_buffered():
+            if not self._live and not self.memory.has_buffered():
                 break
             enabled = self._enabled_threads()
             if not enabled:
@@ -180,8 +220,10 @@ class Engine:
                 started = perf_counter()
                 self._execute_choice(chosen)
                 execute_seconds += perf_counter() - started
-        if profiler is not None and self.steps:
-            profiler.add("engine.execute", execute_seconds, count=self.steps)
+        if profiler is not None and self.steps > replayed:
+            profiler.add(
+                "engine.execute", execute_seconds, count=self.steps - replayed
+            )
         registry = obs_metrics.active()
         if registry is not None:
             registry.inc(
@@ -189,6 +231,9 @@ class Engine:
                 program=self.program.name, status=status.value,
             )
             registry.inc("engine.steps", self.steps, program=self.program.name)
+            registry.inc(
+                "engine.replay_steps", replayed, program=self.program.name
+            )
         return RunResult(
             program=self.program.name,
             status=status,
@@ -199,6 +244,74 @@ class Engine:
             crash_reasons=list(self._crashes),
             blocked=blocked,
             stop_reason=stop_reason,
+        )
+
+    # -- forced prefix ----------------------------------------------------
+
+    def _replay(self) -> None:
+        """Execute the forced prefix without consulting the scheduler.
+
+        Before each forced step the crash, termination and budget checks
+        run exactly as in the decision loop (which then ends the run).
+        The one enabledness test per step is the divergence check on the
+        forced thread, plus — only when the thread changes — the same
+        test on the thread that ran before it, which is what a
+        preemption costs.  An ``enabled_filter`` still sees every step:
+        filters may keep state or depend on the path.
+        """
+        enabled_filter = self.enabled_filter
+        last = len(self._prefix) - 1
+        previous: Optional[str] = None
+        for index, chosen in enumerate(self._prefix):
+            if (
+                self._crashes
+                or (not self._live and not self.memory.has_buffered())
+                or self.steps >= self.max_steps
+            ):
+                break
+            if index == last:
+                self._end_reuse()  # the new branch emits normally
+            if enabled_filter is None:
+                if not self._can_run(chosen):
+                    raise _divergence(index, chosen, self._enabled_threads())
+                preempted = (
+                    previous is not None
+                    and previous != chosen
+                    and self._can_run(previous)
+                )
+            else:
+                allowed = enabled = self._enabled_threads()
+                filtered = enabled_filter(self, list(enabled))
+                if filtered:
+                    allowed = filtered
+                if chosen not in allowed:
+                    raise _divergence(index, chosen, allowed)
+                preempted = (
+                    previous is not None
+                    and previous != chosen
+                    and previous in allowed
+                )
+            if preempted:
+                self.prefix_preemptions += 1
+            self.schedule.append(chosen)
+            self.steps += 1
+            self._execute_choice(chosen)
+            previous = chosen
+        self._end_reuse()
+
+    def _end_reuse(self) -> None:
+        """Adopt the parent trace's first events; emit from here on."""
+        if self._reuse is not None:
+            self.trace = Trace(self._reuse[: self._seq])
+            self._reuse = None
+
+    def _can_run(self, name: str) -> bool:
+        """Whether scheduling ``name`` (a thread or flush) is legal now."""
+        vt = self.threads.get(name)
+        if vt is not None:
+            return vt.state is ThreadState.RUNNABLE and self._op_enabled(vt)
+        return name.startswith(FLUSH_PREFIX) and self.memory.has_buffered(
+            name[len(FLUSH_PREFIX):]
         )
 
     # -- enabledness ------------------------------------------------------
@@ -219,32 +332,53 @@ class Engine:
         op = vt.pending
         if op is None:
             raise ProgramError(f"runnable thread {vt.name!r} has no pending op")
-        if not isinstance(op, _UNFENCED_OPS) and self.memory.has_buffered(vt.name):
+        kind = type(op)
+        if kind not in _UNFENCED_OPS and self.memory.has_buffered(vt.name):
             # Implicit fence: the op waits for the thread's own buffered
             # stores to flush.  Never a deadlock — a non-empty buffer
             # always has its flush step enabled.
             return False
-        if isinstance(op, ops.Acquire):
-            return self.sync.mutex(op.lock).can_acquire(vt.name)
-        if isinstance(op, ops._ReacquireAfterWait):
-            return self.sync.mutex(op.lock).can_acquire(vt.name)
-        if isinstance(op, ops.AcquireRead):
-            return self.sync.rwlock(op.rwlock).can_acquire_read(vt.name)
-        if isinstance(op, ops.AcquireWrite):
-            return self.sync.rwlock(op.rwlock).can_acquire_write(vt.name)
-        if isinstance(op, ops.SemAcquire):
-            return self.sync.semaphore(op.sem).can_acquire(vt.name)
-        if isinstance(op, ops.Join):
-            return self._target(op.thread).done
-        if isinstance(op, ops.Send):
-            return self.sync.channel(op.chan).can_send(vt.name)
-        if isinstance(op, ops.Recv):
-            return self.sync.channel(op.chan).can_recv(vt.name)
-        if isinstance(op, ops.Select):
-            return any(
-                self.sync.channel(c).can_recv(vt.name) for c in op.chans
-            )
-        return True
+        guard = self._GUARDS.get(kind)
+        return guard is None or guard(self, vt.name, op)
+
+    # Guards of the ops that can block, keyed by exact op type; every
+    # other op is enabled whenever its thread is runnable and unfenced.
+
+    def _mutex_free(self, thread: str, op) -> bool:
+        return self.sync.mutex(op.lock).can_acquire(thread)
+
+    def _rwlock_readable(self, thread: str, op: ops.AcquireRead) -> bool:
+        return self.sync.rwlock(op.rwlock).can_acquire_read(thread)
+
+    def _rwlock_writable(self, thread: str, op: ops.AcquireWrite) -> bool:
+        return self.sync.rwlock(op.rwlock).can_acquire_write(thread)
+
+    def _sem_positive(self, thread: str, op: ops.SemAcquire) -> bool:
+        return self.sync.semaphore(op.sem).can_acquire(thread)
+
+    def _join_target_done(self, thread: str, op: ops.Join) -> bool:
+        return self._target(op.thread).done
+
+    def _chan_has_room(self, thread: str, op: ops.Send) -> bool:
+        return self.sync.channel(op.chan).can_send(thread)
+
+    def _chan_has_message(self, thread: str, op: ops.Recv) -> bool:
+        return self.sync.channel(op.chan).can_recv(thread)
+
+    def _select_ready(self, thread: str, op: ops.Select) -> bool:
+        return any(self.sync.channel(c).can_recv(thread) for c in op.chans)
+
+    _GUARDS = {
+        ops.Acquire: _mutex_free,
+        ops._ReacquireAfterWait: _mutex_free,
+        ops.AcquireRead: _rwlock_readable,
+        ops.AcquireWrite: _rwlock_writable,
+        ops.SemAcquire: _sem_positive,
+        ops.Join: _join_target_done,
+        ops.Send: _chan_has_room,
+        ops.Recv: _chan_has_message,
+        ops.Select: _select_ready,
+    }
 
     def pending_op(self, name: str) -> Optional[ops.Op]:
         """The operation that scheduling ``name`` would execute.
@@ -265,8 +399,9 @@ class Engine:
     # -- execution --------------------------------------------------------
 
     def _execute_choice(self, chosen: str) -> None:
-        if chosen in self.threads:
-            self._execute(self.threads[chosen])
+        vt = self.threads.get(chosen)
+        if vt is not None:
+            self._execute(vt)
         else:
             self._execute_flush(chosen)
 
@@ -284,11 +419,10 @@ class Engine:
     def _execute(self, vt: VirtualThread) -> None:
         op = vt.pending
         assert op is not None
-        label = getattr(op, "label", None)
+        label = op.label
         if label is not None:
             self.executed_labels.append(label)
-        handler = self._HANDLERS[type(op)]
-        handler(self, vt, op)
+        self._HANDLERS[type(op)](self, vt, op)
 
     def _exec_read(self, vt: VirtualThread, op: ops.Read) -> None:
         value = self.memory.read(op.var, vt.name)
@@ -524,17 +658,21 @@ class Engine:
     def _start_thread(self, name: str) -> None:
         vt = self._target(name)
         vt.start()
+        self._live += 1
         self._emit(ev.ThreadStartEvent, thread=name)
         self._note_termination(vt)
 
     def _advance(self, vt: VirtualThread, result: Any) -> None:
         vt.advance(result)
-        self._note_termination(vt)
+        if vt.state is not ThreadState.RUNNABLE:
+            self._note_termination(vt)
 
     def _note_termination(self, vt: VirtualThread) -> None:
         if vt.state is ThreadState.FINISHED:
+            self._live -= 1
             self._emit(ev.ThreadFinishEvent, thread=vt.name)
         elif vt.state is ThreadState.CRASHED:
+            self._live -= 1
             reason = vt.crash_reason or "crash"
             self._emit(ev.ThreadCrashEvent, thread=vt.name, reason=reason)
             self._crashes.append(f"{vt.name}: {reason}")
@@ -611,11 +749,25 @@ class Engine:
     # -- event emission ---------------------------------------------------------
 
     def _emit(self, klass, thread: str, label: Optional[str] = None, **payload) -> None:
+        if self._reuse is not None:
+            # Replaying with the parent trace: its event at this position
+            # is the one this step would build; adopted by _end_reuse.
+            self._seq += 1
+            return
         event = klass(seq=self._seq, thread=thread, label=label, **payload)
         self._seq += 1
         self.trace.append(event)
         if self._event_hook is not None:
             self._event_hook(event)
+
+
+def _divergence(step: int, chosen: str, enabled: Sequence[str]) -> ExplorationError:
+    """The error for a forced thread that is not enabled at its step."""
+    return ExplorationError(
+        f"exploration prefix diverged at step {step}: {chosen!r} not enabled "
+        f"in {sorted(enabled)} — the program is non-deterministic beyond "
+        f"scheduling"
+    )
 
 
 def _has_cycle(edges: Dict[str, List[str]]) -> bool:

@@ -55,6 +55,7 @@ from repro.sim.engine import Engine, EnabledFilter, RunResult, RunStatus
 from repro.sim.program import Program
 from repro.sim.scheduler import Scheduler
 from repro.sim.statecache import MemoHit, StateCache, state_fingerprint
+from repro.sim.trace import Trace
 
 __all__ = [
     "Explorer",
@@ -138,14 +139,48 @@ class _DirectedPolicy:
 
 #: A DFS stack entry: (schedule prefix, preemptions already paid inside
 #: it, detector-pipeline snapshot taken at the branch point — or ``None``
-#: when no pipeline is attached).  The snapshot is what lets a sibling
-#: run resume analysis from the shared prefix instead of re-analysing it.
-Seed = Tuple[List[str], int, Optional[Any]]
+#: when no pipeline is attached, trace of the run that pushed it — or
+#: ``None``).  The snapshot lets a sibling run resume analysis from the
+#: shared prefix instead of re-analysing it; the trace lets the engine
+#: adopt the prefix's events instead of rebuilding them.  Traces never
+#: leave the process: checkpoints keep only ``(prefix, paid)`` and
+#: worker items go through :func:`_detach`, so those seeds replay with
+#: emission.
+Seed = Tuple[List[str], int, Optional[Any], Optional[Trace]]
 
 #: Sentinel for ``_search``'s ``cache=`` parameter: "build a fresh cache
 #: from ``self.memoize``" (the parallel workers' behaviour), as opposed
 #: to an explicit cache (slice resume) or an explicit ``None``.
 _FRESH_CACHE = object()
+
+
+def _detach(seeds: Sequence[Seed]) -> List[Seed]:
+    """Seeds fit to cross a process boundary: without their traces."""
+    return [(prefix, paid, snapshot, None) for prefix, paid, snapshot, _ in seeds]
+
+
+def _start_pass(
+    pipeline: Optional[Any], snapshot: Optional[Any], parent: Optional[Trace]
+) -> Tuple[Optional[Callable[[Any], None]], Optional[Trace]]:
+    """Begin one run's pipeline pass; returns ``(event hook, parent trace)``.
+
+    Resumes analysis from the branch-point snapshot when one was taken,
+    so the replayed prefix is not analysed again; without a snapshot the
+    hook must see every event, so the parent trace is not adopted.
+    """
+    if pipeline is None:
+        return None, parent
+    if snapshot is None:
+        pipeline.begin_pass()
+        return pipeline.feed, None
+    pipeline.restore(snapshot)
+    return pipeline.feed, parent
+
+
+def _previous(engine: Engine) -> Optional[str]:
+    """The thread that ran the step before the current decision."""
+    schedule = engine.schedule
+    return schedule[-1] if schedule else None
 
 
 def _result_from_frontier(frontier: Any, program: str) -> ExplorationResult:
@@ -177,7 +212,7 @@ def _dfs_frontier(explorer, result, leftover, cache) -> Any:
         explorer="dfs",
         program=explorer.program.name,
         memoize=explorer.memoize,
-        pending=[(list(prefix), paid) for prefix, paid, _ in leftover],
+        pending=[(list(prefix), paid) for prefix, paid, _, _ in leftover],
         attempts=result.schedules_run + result.cache_hits,
         schedules_run=result.schedules_run,
         statuses=Counter(result.statuses),
@@ -199,39 +234,37 @@ def _dfs_frontier(explorer, result, leftover, cache) -> Any:
 
 
 class _RecordingScheduler(Scheduler):
-    """Follow ``prefix``, then extend non-preemptively; record enabled sets.
+    """Extend a run non-preemptively past its prefix; record enabled sets.
 
-    When a :class:`StateCache` is attached, every decision point beyond
-    the prefix is fingerprinted first; reaching an already-expanded state
-    raises :class:`MemoHit` to abort the (redundant) run.
+    The engine replays the forced prefix itself, so every ``choose`` call
+    is a fresh decision.  When a :class:`StateCache` is attached, each is
+    fingerprinted first; reaching an already-expanded state raises
+    :class:`MemoHit` to abort the (redundant) run.
     """
 
     def __init__(
         self,
-        prefix: Sequence[str],
         cache: Optional[StateCache] = None,
         preemption_bound: Optional[int] = None,
         pipeline: Optional[Any] = None,
         directed: Optional[_DirectedPolicy] = None,
     ):
-        self.prefix = list(prefix)
         self.cache = cache
         self.preemption_bound = preemption_bound
         self.pipeline = pipeline
         self.directed = directed
         self.engine: Optional[Engine] = None
+        # Per fresh decision: the sorted enabled set and the choice made.
         self.enabled_sets: List[List[str]] = []
         self.choices: List[str] = []
         # Per-decision directed sort keys (one dict per node, computed
         # once and reused at sibling-push time), aligned with
-        # enabled_sets (None entries for replayed-prefix decisions —
-        # no siblings are cut there).  Stays empty when undirected.
-        self.directed_keys: List[Optional[Dict[str, Tuple[int, int, str]]]] = []
-        # Pipeline snapshots per decision beyond the prefix (None entries
-        # for decisions with a single enabled thread — no siblings there).
+        # enabled_sets.  Stays empty when undirected.
+        self.directed_keys: List[Dict[str, Tuple[int, int, str]]] = []
+        # Pipeline snapshots per decision (None entries for decisions
+        # with a single enabled thread — no siblings there).
         self.node_snapshots: List[Optional[Any]] = []
-        self._last: Optional[str] = None
-        self._preemptions = 0
+        self._fresh_preemptions = 0
         # Hoisted once per run: fingerprinting is the per-decision hot
         # path, so the disabled-profiler cost must stay one None check.
         self._profiler = obs_profile.active()
@@ -242,7 +275,7 @@ class _RecordingScheduler(Scheduler):
     @property
     def preemptions(self) -> int:
         """Preemption cost paid by this run so far (prefix included)."""
-        return self._preemptions
+        return self.engine.prefix_preemptions + self._fresh_preemptions
 
     def _fingerprint(self):
         profiler = self._profiler
@@ -255,8 +288,8 @@ class _RecordingScheduler(Scheduler):
 
     def choose(self, enabled: Sequence[str], step: int) -> str:
         ordered = sorted(enabled)
-        index = len(self.choices)
-        if self.cache is not None and index >= len(self.prefix):
+        last = _previous(self.engine)
+        if self.cache is not None:
             fingerprint = self._fingerprint()
             if self.preemption_bound is not None:
                 # Under a bound the subtree also depends on the budget
@@ -268,41 +301,29 @@ class _RecordingScheduler(Scheduler):
                 # (state, paid, last) nodes merge.
                 fingerprint = (
                     fingerprint,
-                    ("preemptions", self._preemptions),
-                    ("last", self._last),
+                    ("preemptions", self.preemptions),
+                    ("last", last),
                 )
             if self.cache.seen(fingerprint):
                 raise MemoHit()
         self.enabled_sets.append(ordered)
         if self.directed is not None:
-            self.directed_keys.append(
-                self.directed.key_enabled(self.engine, ordered, self._last)
-                if index >= len(self.prefix)
-                else None
-            )
-        if self.pipeline is not None and index >= len(self.prefix):
+            keys = self.directed.key_enabled(self.engine, ordered, last)
+            self.directed_keys.append(keys)
+        if self.pipeline is not None:
             # Snapshot only at real branch points: a single-choice
             # decision spawns no siblings, so nothing ever restores there.
             self.node_snapshots.append(
                 self.pipeline.snapshot() if len(ordered) > 1 else None
             )
-        if index < len(self.prefix):
-            choice = self.prefix[index]
-            if choice not in enabled:
-                raise ExplorationError(
-                    f"exploration prefix diverged at step {index}: {choice!r} "
-                    f"not enabled in {ordered} — the program is "
-                    f"non-deterministic beyond scheduling"
-                )
-        elif self.directed is not None:
-            choice = min(ordered, key=self.directed_keys[-1].__getitem__)
-        elif self._last is not None and self._last in enabled:
-            choice = self._last
+        if self.directed is not None:
+            choice = min(ordered, key=keys.__getitem__)
+        elif last is not None and last in enabled:
+            choice = last
         else:
             choice = ordered[0]
-        self._preemptions += _preemption_cost(self._last, choice, ordered)
+        self._fresh_preemptions += _preemption_cost(last, choice, ordered)
         self.choices.append(choice)
-        self._last = choice
         return choice
 
     def reset(self) -> None:
@@ -310,8 +331,7 @@ class _RecordingScheduler(Scheduler):
         self.choices = []
         self.directed_keys = []
         self.node_snapshots = []
-        self._last = None
-        self._preemptions = 0
+        self._fresh_preemptions = 0
 
 
 @dataclass
@@ -494,13 +514,14 @@ class Explorer:
         if frontier is not None:
             frontier.check("dfs", self.program.name, self.memoize)
             stack: List[Seed] = [
-                (list(prefix), paid, None) for prefix, paid in frontier.pending
+                (list(prefix), paid, None, None)
+                for prefix, paid in frontier.pending
             ]
             result = _result_from_frontier(frontier, self.program.name)
             cache = frontier.restore_cache()
             attempts = frontier.attempts
         else:
-            stack = [([], 0, None)]
+            stack = [([], 0, None, None)]
             result = None
             cache = StateCache() if self.memoize else None
             attempts = 0
@@ -597,11 +618,10 @@ class Explorer:
                 break
             if attempt_limit is not None and attempts >= attempt_limit:
                 break  # slice exhausted; the caller checkpoints the stack
-            prefix, paid, snapshot = stack.pop()
+            prefix, paid, snapshot, parent = stack.pop()
             attempts += 1
-            run, recorder = self._run_once(prefix, cache, snapshot)
-            if len(recorder.choices) > len(prefix):
-                result.states_expanded += len(recorder.choices) - len(prefix)
+            run, recorder = self._run_once(prefix, cache, snapshot, parent)
+            result.states_expanded += len(recorder.choices)
             result.preemptions_spent += recorder.preemptions
             if run is None:
                 result.cache_hits += 1
@@ -632,20 +652,11 @@ class Explorer:
         prefix: List[str],
         cache: Optional[StateCache],
         snapshot: Optional[Any] = None,
+        parent: Optional[Trace] = None,
     ) -> Tuple[Optional[RunResult], _RecordingScheduler]:
         pipeline = self.pipeline
-        hook = None
-        if pipeline is not None:
-            # Resume analysis from the branch-point snapshot when one was
-            # taken: the replayed prefix's events are then skipped instead
-            # of re-analysed (the root seed has no snapshot — full pass).
-            if snapshot is not None:
-                pipeline.restore(snapshot)
-            else:
-                pipeline.begin_pass()
-            hook = pipeline.feed
+        hook, parent = _start_pass(pipeline, snapshot, parent)
         recorder = _RecordingScheduler(
-            prefix,
             cache=cache,
             preemption_bound=self.preemption_bound,
             pipeline=pipeline,
@@ -657,6 +668,8 @@ class Explorer:
             max_steps=self.max_steps,
             enabled_filter=self.enabled_filter,
             event_hook=hook,
+            prefix=prefix,
+            prefix_events=parent,
         )
         recorder.attach(engine)
         try:
@@ -676,39 +689,39 @@ class Explorer:
         prefix: List[str],
         paid: int,
     ) -> None:
-        choices = recorder.choices
-        enabled_sets = recorder.enabled_sets
+        engine = recorder.engine
+        schedule = engine.schedule
         directed_keys = recorder.directed_keys
         snapshots = recorder.node_snapshots
         # Preemption cost of each executed step beyond the prefix.
         preemptions = paid
-        for i in range(len(prefix), len(choices)):
-            previous = choices[i - 1] if i > 0 else None
-            chosen = choices[i]
-            cost_chosen = _preemption_cost(previous, chosen, enabled_sets[i])
-            # node_snapshots holds only post-prefix decisions.
-            snapshot = snapshots[i - len(prefix)] if snapshots else None
-            alternatives = enabled_sets[i]
-            if directed_keys and directed_keys[i] is not None:
+        for node, (chosen, enabled) in enumerate(
+            zip(recorder.choices, recorder.enabled_sets)
+        ):
+            i = len(prefix) + node
+            previous = schedule[i - 1] if i > 0 else None
+            cost_chosen = _preemption_cost(previous, chosen, enabled)
+            snapshot = snapshots[node] if snapshots else None
+            alternatives = enabled
+            if directed_keys:
                 # Push worst-ranked first so the LIFO stack pops the
                 # best-directed sibling before any other (keys were
                 # computed once when the node was visited).
                 alternatives = sorted(
-                    alternatives,
-                    key=directed_keys[i].__getitem__,
-                    reverse=True,
+                    enabled, key=directed_keys[node].__getitem__, reverse=True
                 )
             for alt in alternatives:
                 if alt == chosen:
                     continue
-                cost_alt = _preemption_cost(previous, alt, enabled_sets[i])
+                cost_alt = _preemption_cost(previous, alt, enabled)
                 if (
                     self.preemption_bound is not None
                     and preemptions + cost_alt > self.preemption_bound
                 ):
                     continue
                 stack.append(
-                    (choices[:i] + [alt], preemptions + cost_alt, snapshot)
+                    (schedule[:i] + [alt], preemptions + cost_alt, snapshot,
+                     engine.trace)
                 )
             preemptions += cost_chosen
 

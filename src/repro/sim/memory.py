@@ -59,6 +59,23 @@ FLUSH_PREFIX = "~"
 #: the CLI ``--memory`` flag.
 MEMORY_MODELS = ("sc", "tso")
 
+#: Exact value types whose deep copy is the value itself.
+_ATOMS = frozenset((int, float, bool, str, bytes, type(None)))
+
+
+def _deepcopy_map(values: Mapping[str, Any]) -> Dict[str, Any]:
+    """``copy.deepcopy(dict(values))`` without copying atomic values.
+
+    Most programs hold only ints and strings, and deep-copying those is
+    pure overhead on every run.  One memo spans all values, so aliasing
+    between variables comes out exactly as from a whole-map deep copy.
+    """
+    memo: Dict[int, Any] = {}
+    return {
+        name: value if type(value) in _ATOMS else copy.deepcopy(value, memo)
+        for name, value in values.items()
+    }
+
 
 def flush_label(label: Optional[str]) -> Optional[str]:
     """The derived site label of the flush step of a labelled write.
@@ -88,7 +105,8 @@ class MemoryModel:
 
     def __init__(self, initial: Mapping[str, Any]):
         self._values: Dict[str, Any] = {
-            name: copy.deepcopy(value) for name, value in initial.items()
+            name: value if type(value) in _ATOMS else copy.deepcopy(value)
+            for name, value in initial.items()
         }
 
     # -- accesses ----------------------------------------------------------
@@ -140,7 +158,7 @@ class MemoryModel:
         owners in sorted order, each buffer FIFO), so a crash-terminated
         run still yields one well-defined terminal state.
         """
-        return copy.deepcopy(self._values)
+        return _deepcopy_map(self._values)
 
     def variables(self) -> Iterable[str]:
         """The declared variable names."""
@@ -253,7 +271,7 @@ class TSOMemory(MemoryModel):
         for owner in sorted(self._buffers):
             for var, value, _label in self._buffers[owner]:
                 merged[var] = value
-        return copy.deepcopy(merged)
+        return _deepcopy_map(merged)
 
     def buffers(self) -> Dict[str, Tuple[Tuple[str, Any, Optional[str]], ...]]:
         return {

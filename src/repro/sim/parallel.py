@@ -82,6 +82,7 @@ from repro.sim.explorer import (
     Explorer,
     Predicate,
     Seed,
+    _detach,
     _merge_pipeline_stats,
     _record_exploration,
     _record_pipeline_stats,
@@ -152,10 +153,10 @@ def _build_explorer() -> Explorer:
 def _explore_shard(seed: Seed) -> ExplorationResult:
     """Explore one prefix subtree to completion; legacy static shard."""
     explorer = _build_explorer()
-    prefix, paid, snapshot = seed
+    prefix, paid, snapshot, _ = seed
     start = perf_counter()
     result, _ = explorer._search(
-        [(list(prefix), paid, snapshot)],
+        [(list(prefix), paid, snapshot, None)],
         _WORKER["predicate"],
         _WORKER["options"]["stop_on_first"],
         None,
@@ -226,7 +227,7 @@ def _explore_item(
         for cut in range(chunks):
             low = cut * size
             high = take if cut == chunks - 1 else low + size
-            batches.append(stack[low:high])
+            batches.append(_detach(stack[low:high]))
         del stack[:take]
         # Count the items *before* they are queued so the parent's "all
         # created items have reported" termination check can never
@@ -242,7 +243,8 @@ def _explore_item(
 
     options = _WORKER["options"]
     stack = [
-        (list(prefix), paid, snapshot) for prefix, paid, snapshot in seeds
+        (list(prefix), paid, snapshot, None)
+        for prefix, paid, snapshot, _ in seeds
     ]
     start = perf_counter()
     result, _ = explorer._search(
@@ -409,7 +411,7 @@ class ParallelExplorer:
         )
         target = max(2, self.workers * self.shard_factor)
         root, frontier = serial._search(
-            [([], 0, None)], predicate, stop_on_first, target
+            [([], 0, None, None)], predicate, stop_on_first, target
         )
         # Root phase finished the whole tree, exhausted the budget, or
         # matched with stop_on_first: nothing left to distribute.
@@ -417,8 +419,9 @@ class ParallelExplorer:
             root.wall_seconds = perf_counter() - start
             self._record(root, [])
             return root
-        # Top of the LIFO stack first = serial DFS subtree order.
-        shards: List[Seed] = list(reversed(frontier))
+        # Top of the LIFO stack first = serial DFS subtree order.  Items
+        # run in other processes, so they replay with emission.
+        shards: List[Seed] = _detach(list(reversed(frontier)))
         attempts_root = root.schedules_run + root.cache_hits
         shard_budget = max(1, self.max_schedules - attempts_root)
         with obs_profile.span("parallel.dispatch"):

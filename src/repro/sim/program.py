@@ -96,14 +96,14 @@ class Program:
         return make_memory_model(self.memory, self.initial)
 
     def make_sync(self) -> SyncObjects:
-        """Fresh synchronisation objects for one run."""
-        return SyncObjects(
-            locks=self.locks,
-            rwlocks=self.rwlocks,
-            semaphores=self.semaphores,
-            conditions=self.conditions,
-            barriers=self.barriers,
-            channels=self.channels,
+        """Fresh synchronisation objects for one run.
+
+        The declarations were validated at construction, so the per-run
+        build skips the checks.
+        """
+        return SyncObjects.prevalidated(
+            self.locks, self.rwlocks, self.semaphores, self.conditions,
+            self.barriers, self.channels,
         )
 
     def make_threads(self) -> Dict[str, VirtualThread]:
@@ -189,4 +189,7 @@ class Program:
                 )
         # Sync-object name validation happens in SyncObjects; run it once now
         # so malformed programs fail at construction, not first run.
-        self.make_sync()
+        SyncObjects(
+            self.locks, self.rwlocks, self.semaphores, self.conditions,
+            self.barriers, self.channels,
+        )

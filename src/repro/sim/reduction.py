@@ -50,17 +50,25 @@ from repro.sim.explorer import (
     _DirectedPolicy,
     _fill_pipeline,
     _outcome_key,
+    _previous,
     _record_exploration,
     _record_pipeline_stats,
     _result_from_frontier,
+    _start_pass,
 )
 from repro.sim.program import Program
 from repro.sim.scheduler import Scheduler
 from repro.sim.statecache import MemoHit, StateCache, state_fingerprint
+from repro.sim.trace import Trace
 
 __all__ = ["SleepSetExplorer", "op_footprint", "ops_dependent"]
 
 Token = Tuple[str, str]
+
+#: A sleep-set stack entry: (schedule prefix, sleep set at its branch,
+#: pipeline snapshot or ``None``, trace of the run that pushed it or
+#: ``None``) — the sleep-set analogue of :data:`repro.sim.explorer.Seed`.
+SleepSeed = Tuple[List[str], FrozenSet[str], Optional[Any], Optional[Trace]]
 
 
 def op_footprint(op: ops.Op, thread: str, cond_locks: Dict[str, str]) -> FrozenSet[Token]:
@@ -140,26 +148,26 @@ class _SleepPruned(ReproError):
 
 
 class _SleepScheduler(Scheduler):
-    """Replay a prefix, then extend while tracking sleep sets.
+    """Extend a run past its prefix while tracking sleep sets.
 
-    Needs engine access (attached by the explorer after construction) to
-    read pending operations for footprints.
+    The engine replays the forced prefix, so every ``choose`` call is a
+    fresh decision; the sleep set starts as the seed's.  Needs engine
+    access (attached by the explorer after construction) to read pending
+    operations for footprints.
 
-    With a :class:`StateCache` attached, each decision point beyond the
-    prefix is fingerprinted as ``(engine state, sleep set)`` — the pair
-    that fully determines the reduced subtree below the node — and a
-    revisited pair raises :class:`MemoHit` to abort the redundant run.
+    With a :class:`StateCache` attached, each decision point is
+    fingerprinted as ``(engine state, sleep set)`` — the pair that fully
+    determines the reduced subtree below the node — and a revisited pair
+    raises :class:`MemoHit` to abort the redundant run.
     """
 
     def __init__(
         self,
-        prefix: Sequence[str],
         initial_sleep: FrozenSet[str],
         cache: Optional[StateCache] = None,
         pipeline: Optional[Any] = None,
         directed: Optional[_DirectedPolicy] = None,
     ):
-        self.prefix = list(prefix)
         self.initial_sleep = initial_sleep
         self.cache = cache
         self.pipeline = pipeline
@@ -177,8 +185,7 @@ class _SleepScheduler(Scheduler):
         # Pipeline snapshots per recorded decision (None where at most
         # one awake thread means no sibling branches).
         self.node_snapshots: List[Optional[Any]] = []
-        self._sleep: FrozenSet[str] = frozenset()
-        self._last: Optional[str] = None
+        self._sleep: FrozenSet[str] = initial_sleep
         self.pruned = False
         # Hoisted once per run; fingerprinting is the per-decision hot path.
         self._profiler = obs_profile.active()
@@ -207,20 +214,7 @@ class _SleepScheduler(Scheduler):
 
     def choose(self, enabled: Sequence[str], step: int) -> str:
         ordered = sorted(enabled)
-        index = len(self.choices)
-        if index < len(self.prefix):
-            choice = self.prefix[index]
-            if choice not in enabled:
-                raise ReproError(
-                    f"sleep-set prefix diverged at step {index}: {choice!r} "
-                    f"not enabled in {ordered}"
-                )
-            self.choices.append(choice)
-            self._last = choice
-            return choice
-
-        if index == len(self.prefix):
-            self._sleep = self.initial_sleep
+        last = _previous(self.engine)
         if self.cache is not None:
             # The reduced subtree depends on the state *and* the sleep set
             # (a sleeping thread's branches are skipped), so only nodes
@@ -237,7 +231,7 @@ class _SleepScheduler(Scheduler):
         self.footprints.append(footprints)
         if self.directed is not None:
             self.directed_keys.append(
-                self.directed.key_enabled(self.engine, ordered, self._last)
+                self.directed.key_enabled(self.engine, ordered, last)
             )
         awake = [name for name in ordered if name not in self._sleep]
         if self.pipeline is not None:
@@ -252,8 +246,8 @@ class _SleepScheduler(Scheduler):
             raise _SleepPruned("all enabled threads are asleep")
         if self.directed is not None:
             choice = min(awake, key=self.directed_keys[-1].__getitem__)
-        elif self._last in awake:
-            choice = self._last
+        elif last in awake:
+            choice = last
         else:
             choice = awake[0]
         # Threads stay asleep only while independent of the executed op.
@@ -265,7 +259,6 @@ class _SleepScheduler(Scheduler):
             and not ops_dependent(footprints[name], chosen_footprint)
         )
         self.choices.append(choice)
-        self._last = choice
         return choice
 
     def reset(self) -> None:
@@ -275,8 +268,7 @@ class _SleepScheduler(Scheduler):
         self.footprints = []
         self.directed_keys = []
         self.node_snapshots = []
-        self._sleep = frozenset()
-        self._last = None
+        self._sleep = self.initial_sleep
         self.pruned = False
 
 
@@ -353,8 +345,8 @@ class SleepSetExplorer:
             result = _result_from_frontier(frontier, self.program.name)
             self.pruned_runs = frontier.pruned_runs
             cache = frontier.restore_cache()
-            stack = [
-                (list(prefix), frozenset(sleep), None)
+            stack: List[SleepSeed] = [
+                (list(prefix), frozenset(sleep), None, None)
                 for prefix, sleep in frontier.pending
             ]
             attempts = frontier.attempts
@@ -364,7 +356,7 @@ class SleepSetExplorer:
             )
             self.pruned_runs = 0
             cache = StateCache() if self.memoize else None
-            stack = [([], frozenset(), None)]
+            stack = [([], frozenset(), None, None)]
             attempts = 0
         self.cache = cache
         limit = (
@@ -378,11 +370,12 @@ class SleepSetExplorer:
                 break
             if limit is not None and attempts >= limit:
                 break  # slice exhausted; checkpoint the stack below
-            prefix, sleep, snapshot = stack.pop()
+            prefix, sleep, snapshot, parent = stack.pop()
             attempts += 1
-            run, scheduler = self._run_once(prefix, sleep, cache, snapshot)
-            if len(scheduler.choices) > len(prefix):
-                result.states_expanded += len(scheduler.choices) - len(prefix)
+            run, scheduler = self._run_once(
+                prefix, sleep, cache, snapshot, parent
+            )
+            result.states_expanded += len(scheduler.choices)
             if run is not None:
                 result.schedules_run += 1
                 result.statuses[run.status] += 1
@@ -419,7 +412,7 @@ class SleepSetExplorer:
     def _make_frontier(
         self,
         result: ExplorationResult,
-        stack: List[Tuple[List[str], FrozenSet[str], Optional[Any]]],
+        stack: List[SleepSeed],
         cache: Optional[StateCache],
     ):
         """Checkpoint a paused sleep-set search (see :mod:`repro.sim.frontier`)."""
@@ -431,7 +424,7 @@ class SleepSetExplorer:
             memoize=self.memoize,
             pending=[
                 (list(prefix), tuple(sorted(sleep)))
-                for prefix, sleep, _ in stack
+                for prefix, sleep, _, _ in stack
             ],
             attempts=(
                 result.schedules_run + result.cache_hits + self.pruned_runs
@@ -484,21 +477,16 @@ class SleepSetExplorer:
         sleep: FrozenSet[str],
         cache: Optional[StateCache],
         snapshot: Optional[Any] = None,
+        parent: Optional[Trace] = None,
     ) -> Tuple[Optional[RunResult], _SleepScheduler]:
         pipeline = self.pipeline
-        hook = None
-        if pipeline is not None:
-            if snapshot is not None:
-                pipeline.restore(snapshot)
-            else:
-                pipeline.begin_pass()
-            hook = pipeline.feed
+        hook, parent = _start_pass(pipeline, snapshot, parent)
         scheduler = _SleepScheduler(
-            prefix, sleep, cache=cache, pipeline=pipeline,
-            directed=self.directed,
+            sleep, cache=cache, pipeline=pipeline, directed=self.directed,
         )
         engine = Engine(
-            self.program, scheduler, max_steps=self.max_steps, event_hook=hook
+            self.program, scheduler, max_steps=self.max_steps, event_hook=hook,
+            prefix=prefix, prefix_events=parent,
         )
         scheduler.attach(engine)
         try:
@@ -513,7 +501,7 @@ class SleepSetExplorer:
 
     def _push_siblings(
         self,
-        stack: List[Tuple[List[str], FrozenSet[str], Optional[Any]]],
+        stack: List[SleepSeed],
         scheduler: _SleepScheduler,
         prefix: List[str],
         run: Optional[RunResult],
@@ -523,15 +511,17 @@ class SleepSetExplorer:
         truncated = run is not None and run.status in (
             RunStatus.CRASH, RunStatus.ABORTED
         )
+        engine = scheduler.engine
+        schedule = engine.schedule
         choices = scheduler.choices
         for node in range(len(scheduler.enabled_sets)):
+            if node >= len(choices):
+                break  # the pruned node itself has no explored choice
             step = len(prefix) + node
             enabled = scheduler.enabled_sets[node]
             node_sleep = scheduler.sleep_sets[node]
             footprints = scheduler.footprints[node]
-            if step >= len(choices):
-                break  # the pruned node itself has no explored choice
-            chosen = choices[step]
+            chosen = choices[node]
             snapshot = (
                 scheduler.node_snapshots[node]
                 if scheduler.node_snapshots
@@ -560,5 +550,7 @@ class SleepSetExplorer:
                         for name in (node_sleep | set(explored))
                         if not ops_dependent(footprints[name], footprints[alt])
                     )
-                stack.append((choices[:step] + [alt], alt_sleep, snapshot))
+                stack.append(
+                    (schedule[:step] + [alt], alt_sleep, snapshot, engine.trace)
+                )
                 explored.append(alt)

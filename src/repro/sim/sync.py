@@ -265,25 +265,49 @@ class SyncObjects:
         barriers: Dict[str, int],
         channels: Optional[Dict[str, Optional[int]]] = None,
     ):
-        self.mutexes: Dict[str, Mutex] = {n: Mutex(n) for n in locks}
-        self.rwlocks: Dict[str, RWLock] = {n: RWLock(n) for n in rwlocks}
-        self.semaphores: Dict[str, Semaphore] = {
-            n: Semaphore(n, v) for n, v in semaphores.items()
-        }
-        self.conditions: Dict[str, Condition] = {}
+        self._build(locks, rwlocks, semaphores, conditions, barriers, channels)
         for name, lock in conditions.items():
             if lock not in self.mutexes:
                 raise ProgramError(
                     f"condition {name!r} bound to undeclared lock {lock!r}"
                 )
-            self.conditions[name] = Condition(name, lock)
+        self._check_disjoint()
+
+    @classmethod
+    def prevalidated(
+        cls,
+        locks: List[str],
+        rwlocks: List[str],
+        semaphores: Dict[str, int],
+        conditions: Dict[str, str],
+        barriers: Dict[str, int],
+        channels: Optional[Dict[str, Optional[int]]] = None,
+    ) -> "SyncObjects":
+        """Fresh objects for declarations that already passed the checks.
+
+        :class:`~repro.sim.program.Program` validates its declarations
+        once, at construction; each run then builds its objects here
+        without repeating the cross-declaration checks.
+        """
+        sync = cls.__new__(cls)
+        sync._build(locks, rwlocks, semaphores, conditions, barriers, channels)
+        return sync
+
+    def _build(self, locks, rwlocks, semaphores, conditions, barriers, channels) -> None:
+        self.mutexes: Dict[str, Mutex] = {n: Mutex(n) for n in locks}
+        self.rwlocks: Dict[str, RWLock] = {n: RWLock(n) for n in rwlocks}
+        self.semaphores: Dict[str, Semaphore] = {
+            n: Semaphore(n, v) for n, v in semaphores.items()
+        }
+        self.conditions: Dict[str, Condition] = {
+            name: Condition(name, lock) for name, lock in conditions.items()
+        }
         self.barriers: Dict[str, Barrier] = {
             n: Barrier(n, p) for n, p in barriers.items()
         }
         self.channels: Dict[str, Channel] = {
             n: Channel(n, c) for n, c in (channels or {}).items()
         }
-        self._check_disjoint()
 
     def mutex(self, name: str) -> Mutex:
         """The declared mutex called ``name``."""

@@ -18,8 +18,18 @@ __all__ = ["Trace"]
 class Trace:
     """An ordered list of events from a single simulated run."""
 
-    def __init__(self) -> None:
-        self._events: List[ev.Event] = []
+    def __init__(self, events: Sequence[ev.Event] = ()) -> None:
+        """Start empty, or as a copy of the leading events of a trace.
+
+        A prefix of a well-sequenced trace is well-sequenced, so only its
+        last ``seq`` is checked; :meth:`append` checks every later event.
+        """
+        self._events: List[ev.Event] = list(events)
+        if self._events and self._events[-1].seq != len(self._events) - 1:
+            raise ValueError(
+                f"initial events end at seq {self._events[-1].seq}, not "
+                f"{len(self._events) - 1}"
+            )
 
     # -- construction -----------------------------------------------------
 

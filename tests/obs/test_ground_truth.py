@@ -8,6 +8,7 @@ counter at all.
 
 from repro.detectors import DetectorSuite
 from repro.obs import metrics as obs_metrics
+from repro.obs import profile as obs_profile
 from repro.sim import (
     Explorer,
     ParallelExplorer,
@@ -37,6 +38,20 @@ class TestExplorerCounters:
             registry.counter("engine.runs", program="racy-counter", status="ok")
             == result.schedules_run
         )
+
+    def test_engine_steps_split_into_replayed_and_expanded(self, registry):
+        # Every DFS step either replays a forced prefix or makes a fresh
+        # decision, and each fresh decision expands one state.
+        profiler = obs_profile.enable()
+        result = Explorer(racy_counter(), max_schedules=5000).explore()
+        labels = {"program": "racy-counter"}
+        steps = registry.counter("engine.steps", **labels)
+        replayed = registry.counter("engine.replay_steps", **labels)
+        assert 0 < replayed < steps
+        assert steps - replayed == result.states_expanded
+        spans = profiler.as_dict()
+        assert spans["engine.replay"]["count"] == replayed
+        assert spans["engine.execute"]["count"] == steps - replayed
 
     def test_memoized_lookup_invariant(self, registry):
         explorer = Explorer(racy_counter(), max_schedules=5000, memoize=True)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ProgramError, SchedulerError, SimCrash
+from repro.errors import ExplorationError, ProgramError, SchedulerError, SimCrash
 from repro.sim import (
     Acquire,
     AtomicUpdate,
@@ -371,3 +371,49 @@ class TestSchedulerContract:
             prog, CooperativeScheduler(), enabled_filter=lambda e, en: []
         )
         assert result.status is RunStatus.OK
+
+
+class _StepRecorder(CooperativeScheduler):
+    """Cooperative, remembering the steps it was asked to decide."""
+
+    def __init__(self):
+        super().__init__()
+        self.steps = []
+
+    def choose(self, enabled, step):
+        self.steps.append(step)
+        return super().choose(enabled, step)
+
+
+class TestForcedPrefix:
+    def test_prefix_is_replayed_without_scheduler_calls(self):
+        prog = helpers.racy_counter()
+        scheduler = _StepRecorder()
+        result = Engine(prog, scheduler, prefix=["T2", "T1", "T2"]).run()
+        assert result.schedule[:3] == ["T2", "T1", "T2"]
+        assert scheduler.steps[0] == 3
+
+    def test_parent_events_are_adopted_up_to_the_last_forced_step(self):
+        prog = helpers.racy_counter()
+        parent = run_program(prog, RoundRobinScheduler())
+        prefix = parent.schedule[:3]
+        seen = []
+        result = Engine(
+            prog, CooperativeScheduler(), prefix=prefix,
+            prefix_events=parent.trace, event_hook=seen.append,
+        ).run()
+        reference = run_fixed(prog, result.schedule)
+        assert list(result.trace) == list(reference.trace)
+        adopted = len(result.trace) - len(seen)
+        assert adopted > 0
+        assert all(
+            mine is theirs
+            for mine, theirs in zip(result.trace[:adopted], parent.trace)
+        )
+        assert seen[0].seq == adopted
+
+    def test_disabled_forced_thread_is_a_divergence(self):
+        prog = helpers.abba_deadlock()
+        with pytest.raises(ExplorationError, match="diverged at step 2"):
+            Engine(prog, CooperativeScheduler(), prefix=["T1", "T2", "T2"]).run()
+
