@@ -6,14 +6,10 @@ Typical numbers on a laptop-class machine: hundreds of thousands of
 engine steps per second; thousands of explored schedules per second on
 kernel-sized programs.
 
-The parallel/memoization benches compare the serial plain DFS baseline
-against the shipped fast path (``ParallelExplorer`` with sharding +
-per-shard memoization) on the largest kernel exploration, asserting the
-outcome set is preserved and the wall-clock speedup is at least 2x —
-with the metrics registry supplying the *evidence* behind the speedup:
-cache hit rate and per-shard schedule balance, not just two wall-clock
-numbers.  ``test_observability_overhead`` pins the cost of the
-observability layer itself (metrics disabled vs enabled vs profiled).
+The memoization bench compares plain DFS against memoized DFS on the
+largest kernel exploration, asserting the outcome set is preserved.
+``test_observability_overhead`` pins the cost of the observability
+layer itself (metrics disabled vs enabled vs profiled).
 """
 
 import contextlib
@@ -25,7 +21,6 @@ from repro.obs import profile as obs_profile
 from repro.sim import (
     Acquire,
     Explorer,
-    ParallelExplorer,
     Program,
     RandomScheduler,
     Read,
@@ -109,70 +104,6 @@ def test_replay_throughput(benchmark):
 
     rerun = benchmark(replay_once)
     assert rerun.memory == recorded.memory
-
-
-def test_parallel_exploration_speedup():
-    # multivar_torn_invariant is the largest kernel exploration (~3k
-    # schedules).  Baseline: serial plain DFS.  Fast path: the shipped
-    # parallel configuration — workers=4 with prefix sharding and
-    # per-shard memoization.  On few-core machines the speedup comes
-    # mostly from memoization (sharding adds process overhead but cannot
-    # beat the core count); the 2x bar must hold either way.
-    kernel = get_kernel("multivar_torn_invariant")
-
-    start = time.perf_counter()
-    serial = Explorer(kernel.buggy, max_schedules=20000).explore(
-        predicate=kernel.failure
-    )
-    serial_seconds = time.perf_counter() - start
-    assert serial.complete
-
-    # The fast path runs under the metrics registry so the speedup
-    # claim ships with its evidence: hit rate and shard balance.
-    with _metrics(enabled=True) as registry:
-        parallel_explorer = ParallelExplorer(
-            kernel.buggy, workers=4, max_schedules=20000, memoize=True
-        )
-        start = time.perf_counter()
-        parallel = parallel_explorer.explore(predicate=kernel.failure)
-        parallel_seconds = time.perf_counter() - start
-    assert parallel.complete
-
-    # Memoization preserves the outcome set and the verdict, not counts.
-    assert set(parallel.outcomes) == set(serial.outcomes)
-    assert parallel.found == serial.found
-
-    speedup = serial_seconds / parallel_seconds
-    attempts = parallel.schedules_run + parallel.cache_hits
-    hit_rate = parallel.cache_hits / attempts if attempts else 0.0
-    balance = registry.histogram(
-        "parallel.shard_schedules_balance", program=kernel.buggy.name
-    )
-    print(
-        f"\n  serial: {serial.schedules_run} schedules in "
-        f"{serial_seconds:.3f}s; workers=4+memo: {parallel.schedules_run} "
-        f"schedules + {parallel.cache_hits} cache hits in "
-        f"{parallel_seconds:.3f}s -> {speedup:.2f}x"
-    )
-    print(
-        f"  evidence: {hit_rate:.0%} of attempts memo-pruned "
-        f"({parallel.cache_lookups} fingerprint lookups, "
-        f"{parallel.cache_states} states cached across shards)"
-    )
-    if balance is not None and balance.count:
-        print(
-            f"  shard balance: {balance.count} shards ran "
-            f"{balance.minimum:.0f}..{balance.maximum:.0f} schedules "
-            f"(mean {balance.mean:.1f})"
-        )
-    assert registry.counter(
-        "explorer.schedules_run",
-        program=kernel.buggy.name, explorer="parallel",
-    ) == parallel.schedules_run
-    assert speedup >= 2.0, (
-        f"parallel+memoized exploration only {speedup:.2f}x faster "
-        f"({serial_seconds:.3f}s -> {parallel_seconds:.3f}s)"
-    )
 
 
 def test_observability_overhead():

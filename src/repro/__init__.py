@@ -37,7 +37,6 @@ from repro.kernels import BugKernel, all_kernels, get_kernel, kernel_names
 from repro.sim import (
     Engine,
     Explorer,
-    ParallelExplorer,
     Program,
     RunResult,
     RunStatus,
@@ -66,7 +65,6 @@ __all__ = [
     "Trace",
     "run_program",
     "Explorer",
-    "ParallelExplorer",
     "StateCache",
     "enumerate_outcomes",
     "find_schedule",

@@ -11,17 +11,17 @@ Commands:
 ``kernels [--family F]``
     List the executable bug kernels, optionally one workload family
     (``sc`` / ``weakmem`` / ``actor``).
-``kernel [NAME] [--family F] [--workers N] [--reduction R] [--memory M]``
+``kernel [NAME] [--family F] [--reduction R] [--memory M]``
     Drive one kernel end to end: manifest, minimal witness, fix check.
     ``--family`` sweeps every kernel of a family instead; ``--memory``
     re-runs under a different memory model (``sc`` / ``tso``).
-``detect NAME [--workers N] [--reduction R] [--memory M] [--online]``
+``detect NAME [--reduction R] [--memory M] [--online]``
     Run the detector battery on a manifesting trace of kernel NAME;
     ``--online`` streams the detectors along the whole exploration
     instead (every interleaving analysed, shared prefixes once).
-``estimate NAME [--runs N] [--workers N] [--reduction R]``
+``estimate NAME [--runs N] [--reduction R]``
     Manifestation rates under cooperative/random/PCT/enforced testing.
-``static [NAME] [--json] [--direct] [--workers N] [--reduction R] [--memory M]``
+``static [NAME] [--json] [--direct] [--reduction R] [--memory M]``
     Static analysis of kernel NAME (default: every kernel), zero
     schedules, cross-checked against dynamic exploration for a
     precision/recall report; ``--direct`` additionally compares
@@ -55,8 +55,8 @@ Commands:
     result cache (``docs/service.md``).
 ``submit KERNEL [--kind K] [--wait/--no-wait] [--socket PATH | --port N]``
     Submit one job to a running service and (by default) wait for its
-    verdict; takes the same ``--reduction``/``--workers``/``--bound``/
-    ``--memoize``/``--memory`` knobs as the one-shot subcommands.
+    verdict; takes the same ``--reduction``/``--memory`` knobs as the
+    one-shot subcommands, plus ``--bound``/``--memoize``/``--budget``.
 ``status [--json] [--shutdown] [--socket PATH | --port N]``
     The service dashboard: queue depth, fleet, totals (cache hits,
     dedup ratio, engine runs), and recent jobs; ``--shutdown``
@@ -70,8 +70,8 @@ Every subcommand additionally accepts the observability flags
     estimator sweep, plus a final per-command summary carrying the full
     metrics snapshot) to PATH.
 ``--profile``
-    Print a hot-path span table (engine execution, fingerprinting,
-    shard dispatch/merge) to stderr when the command finishes.
+    Print a hot-path span table (engine execution, prefix replay,
+    fingerprinting) to stderr when the command finishes.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ from repro.study import all_tables, check_all, generate_report
 __all__ = ["main", "build_parser"]
 
 
-def _worker_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -144,11 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     kernels_cmd.add_argument("--family", default=None, help=family_help)
 
-    workers_help = ("run exploration across N worker processes (composes "
-                    "with --reduction dpor via speculative parallel DPOR)")
     reduction_help = ("partial-order reduction for the exploration: "
-                      "none (default), sleepset, or dpor; dpor composes "
-                      "with --workers and a preemption bound")
+                      "none (default), sleepset, or dpor")
     memory_help = ("memory model to run under: sc (sequential consistency) "
                    "or tso (per-thread store buffers); default: the "
                    "kernel's declared model (docs/simulator.md)")
@@ -161,8 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     kernel.add_argument("--family", default=None,
                         help=family_help + "; drives every kernel in it")
-    kernel.add_argument("--workers", type=_worker_count, default=None,
-                        help=workers_help)
     kernel.add_argument("--reduction", choices=REDUCTIONS, default=None,
                         help=reduction_help)
     kernel.add_argument("--memory", choices=memory_choices, default=None,
@@ -172,8 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         "detect", help="detectors on a manifesting trace", parents=[obs_flags]
     )
     detect.add_argument("name")
-    detect.add_argument("--workers", type=_worker_count, default=None,
-                        help=workers_help)
     detect.add_argument(
         "--online", action="store_true",
         help="stream detectors along the exploration (analyse every "
@@ -189,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     estimate.add_argument("name")
     estimate.add_argument("--runs", type=int, default=100)
-    estimate.add_argument("--workers", type=_worker_count, default=None,
-                          help="split the seeded runs across N worker processes")
     estimate.add_argument("--reduction", choices=REDUCTIONS, default=None,
                           help=reduction_help + " (exhaustive row)")
 
@@ -211,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also compare race-directed vs undirected exploration "
              "(schedules to first manifestation)",
     )
-    static.add_argument("--workers", type=_worker_count, default=None,
-                        help=workers_help)
     static.add_argument("--reduction", choices=REDUCTIONS, default=None,
                         help=reduction_help + " (dynamic cross-check)")
     static.add_argument("--memory", choices=memory_choices, default=None,
@@ -224,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
              "lifted-program confirmation against REPRO_EXPECT annotations",
     )
     static.add_argument(
-        "--budget", type=_worker_count, default=800,
+        "--budget", type=_positive_int, default=800,
         help="max schedules when confirming lifted source modules "
              "(default 800)",
     )
@@ -242,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the generated thread bodies (the lifted DSL source)",
     )
     lift_cmd.add_argument(
-        "--budget", type=_worker_count, default=800,
+        "--budget", type=_positive_int, default=800,
         help="max schedules for the exploration (default 800)",
     )
     lift_cmd.add_argument("--json", action="store_true",
@@ -294,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[obs_flags, endpoint_flags],
     )
     serve.add_argument(
-        "--fleet", type=_worker_count, default=None,
+        "--fleet", type=_positive_int, default=None,
         help="worker processes in the fleet (default: one per core, <= 4)",
     )
     serve.add_argument(
@@ -307,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(none); see docs/service.md",
     )
     serve.add_argument(
-        "--max-pending", type=_worker_count, default=256,
+        "--max-pending", type=_positive_int, default=256,
         help="admission control: refuse submissions past this backlog",
     )
     serve.add_argument(
@@ -316,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
              "UCB bandit slice allocation; see docs/allocator.md",
     )
     serve.add_argument(
-        "--slice-budget", type=_worker_count, default=400,
+        "--slice-budget", type=_positive_int, default=400,
         help="schedule attempts per dispatched slice under --alloc ucb",
     )
 
@@ -332,15 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", choices=[k.value for k in _job_kinds()], default="detect",
         help="what to run (default: detect)",
     )
-    submit.add_argument("--workers", type=_worker_count, default=None,
-                        help=workers_help)
     submit.add_argument("--reduction", choices=REDUCTIONS, default=None,
                         help=reduction_help)
     submit.add_argument("--bound", type=int, default=None,
                         help="preemption bound for the exploration")
     submit.add_argument("--memoize", action="store_true",
                         help="prune revisited states during the exploration")
-    submit.add_argument("--budget", type=_worker_count, default=None,
+    submit.add_argument("--budget", type=_positive_int, default=None,
                         help="max schedules for the exploration")
     submit.add_argument("--memory", choices=memory_choices, default=None,
                         help=memory_help)
@@ -467,7 +454,7 @@ def _drive_kernel(kernel, args) -> int:
     print(f"  minimal witness: {witness.preemptions} preemption(s), "
           f"schedule {witness.run.schedule}")
     print(f"  outcome: {witness.run.summary()}")
-    clean = kernel.verify_fixed(workers=args.workers, reduction=args.reduction)
+    clean = kernel.verify_fixed(reduction=args.reduction)
     print(f"  fix '{kernel.fix_strategy.value}': "
           f"{'verified clean over every schedule' if clean else 'STILL BUGGY'}")
     return 0 if clean else 1
@@ -509,9 +496,7 @@ def _cmd_detect(args) -> int:
     kernel = _with_memory(kernel, args.memory)
     if args.online:
         suite = DetectorSuite.for_program(kernel.buggy)
-        result = suite.analyse_online(
-            kernel.buggy, workers=args.workers, reduction=args.reduction
-        )
+        result = suite.analyse_online(kernel.buggy, reduction=args.reduction)
         exploration = result.exploration
         assert exploration is not None
         print(exploration.summary())
@@ -532,9 +517,7 @@ def _cmd_detect(args) -> int:
         print()
         print(result.format())
         return 0
-    failing = kernel.find_manifestation(
-        workers=args.workers, reduction=args.reduction
-    )
+    failing = kernel.find_manifestation(reduction=args.reduction)
     if failing is None:
         print("kernel did not manifest", file=sys.stderr)
         return 1
@@ -552,14 +535,14 @@ def _cmd_estimate(args) -> int:
     if kernel is None:
         return 2
     estimates = compare_strategies(
-        kernel, runs=args.runs, workers=args.workers, reduction=args.reduction
+        kernel, runs=args.runs, reduction=args.reduction
     )
     for estimate in estimates.values():
         print(estimate.summary())
     return 0
 
 
-def _measure_directed(kernel, workers, reduction=None) -> dict:
+def _measure_directed(kernel, reduction=None) -> dict:
     """Schedules to first manifestation, undirected DFS vs race-directed."""
     from repro.sim.explorer import make_explorer
 
@@ -569,7 +552,7 @@ def _measure_directed(kernel, workers, reduction=None) -> dict:
         ("directed", kernel.static_targets()),
     ):
         explorer = make_explorer(
-            kernel.buggy, 20000, 5000, None, workers, False,
+            kernel.buggy, 20000, 5000, None,
             keep_matches=1, targets=targets, reduction=reduction,
         )
         result = explorer.explore(predicate=kernel.failure, stop_on_first=True)
@@ -716,12 +699,11 @@ def _cmd_static(args) -> int:
     for kernel in kernels:
         suite = DetectorSuite.for_program(kernel.buggy, streaming=True)
         comparison = suite.analyse_static(
-            kernel.buggy, predicate=kernel.failure, workers=args.workers,
-            reduction=args.reduction,
+            kernel.buggy, predicate=kernel.failure, reduction=args.reduction,
         )
         all_sound = all_sound and comparison.sound
         directed = (
-            _measure_directed(kernel, args.workers, args.reduction)
+            _measure_directed(kernel, args.reduction)
             if args.direct else None
         )
         if args.json:
@@ -938,7 +920,6 @@ def _cmd_submit(args) -> int:
 
     options = {
         "reduction": args.reduction,
-        "workers": args.workers,
         "preemption_bound": args.bound,
         "memoize": args.memoize,
         "max_schedules": args.budget,

@@ -372,27 +372,24 @@ class DetectorSuite:
         program: Program,
         predicate: Optional[Callable[[RunResult], bool]] = None,
         max_schedules: int = 20000,
-        workers: Optional[int] = None,
+        *,
         keep_matches: int = 16,
         reduction: Optional[str] = None,
     ) -> SuiteResult:
         """Explore the program's schedules, then analyse the interesting runs.
 
-        Explores up to ``max_schedules`` interleavings (sharded across a
-        process pool when ``workers > 1``), collects the traces of runs
-        matching ``predicate`` (default: failing runs) up to
+        Explores up to ``max_schedules`` interleavings, collects the
+        traces of runs matching ``predicate`` (default: failing runs) up to
         ``keep_matches``, and feeds them through :meth:`analyse_many`.  If
         no run matches, analyses the single cooperative-schedule baseline
         run instead, so detectors still see one representative trace.
         ``reduction`` prunes schedules equivalent up to swapping
         independent operations (see
         :func:`~repro.sim.explorer.make_explorer`) — sound here because
-        at least one representative of every outcome still runs — and
-        composes with ``workers`` (``reduction="dpor"`` selects the
-        speculative parallel DPOR search).
+        at least one representative of every outcome still runs.
         """
         explorer = make_explorer(
-            program, max_schedules, 5000, None, workers, False,
+            program, max_schedules, 5000, None,
             keep_matches=keep_matches, reduction=reduction,
         )
         result = explorer.explore(predicate=predicate)
@@ -407,7 +404,7 @@ class DetectorSuite:
         program: Program,
         predicate: Optional[Callable[[RunResult], bool]] = None,
         max_schedules: int = 20000,
-        workers: Optional[int] = None,
+        *,
         keep_matches: int = 16,
         reduction: Optional[str] = None,
     ) -> StaticComparison:
@@ -431,7 +428,6 @@ class DetectorSuite:
             program,
             predicate=predicate,
             max_schedules=max_schedules,
-            workers=workers,
             keep_matches=keep_matches,
             reduction=reduction,
         )
@@ -466,16 +462,15 @@ class DetectorSuite:
         max_schedules: int = 20000,
         max_steps: int = 5000,
         preemption_bound: Optional[int] = None,
-        workers: Optional[int] = None,
+        *,
         reduction: Optional[str] = None,
     ) -> SuiteResult:
         """Analyse *while* exploring: one streamed pass over every schedule.
 
-        A shared detector pipeline rides along with the exploration
-        (sharded across processes when ``workers > 1``), observing every
-        executed event; analysis state is snapshotted at branch points
-        and restored for sibling schedules, so shared prefixes are
-        analysed once instead of once per schedule.  Unlike
+        A shared detector pipeline rides along with the exploration,
+        observing every executed event; analysis state is snapshotted at
+        branch points and restored for sibling schedules, so shared
+        prefixes are analysed once instead of once per schedule.  Unlike
         :meth:`analyse_program` this covers **every** explored
         interleaving, not just the ``keep_matches`` retained ones —
         without retaining any traces.
@@ -493,10 +488,8 @@ class DetectorSuite:
             max_schedules,
             max_steps,
             preemption_bound,
-            workers,
-            False,
             keep_matches=0,
-            pipeline_factory=self._pipeline,
+            pipeline=self._pipeline(),
             reduction=reduction,
         )
         exploration = explorer.explore(
@@ -513,7 +506,6 @@ class DetectorSuite:
                 "max_schedules": max_schedules,
                 "max_steps": max_steps,
                 "preemption_bound": preemption_bound,
-                "workers": workers,
                 "memoize": False,
                 "online": True,
                 "reduction": reduction or "none",

@@ -51,16 +51,9 @@ def verify_fix(
     kernel: BugKernel,
     patched: Program,
     max_schedules: int = 50000,
-    workers: Optional[int] = None,
 ) -> FixVerification:
-    """Explore every schedule of ``patched`` against the kernel's oracle.
-
-    ``workers > 1`` shards the exploration across a process pool; the
-    verdict and counterexample are identical to the serial search.
-    """
-    explorer = make_explorer(
-        patched, max_schedules, 5000, None, workers, False, keep_matches=1,
-    )
+    """Explore every schedule of ``patched`` against the kernel's oracle."""
+    explorer = make_explorer(patched, max_schedules, 5000, None, keep_matches=1)
     result = explorer.explore(predicate=kernel.failure, stop_on_first=True)
     if result.found:
         return FixVerification(
@@ -81,20 +74,15 @@ def verify_fix(
 def verify_all_fixes(
     kernel: BugKernel,
     max_schedules: int = 50000,
-    workers: Optional[int] = None,
 ) -> Dict[FixStrategy, FixVerification]:
     """Verify every patched variant the kernel ships."""
     return {
-        strategy: verify_fix(
-            kernel, program, max_schedules=max_schedules, workers=workers
-        )
+        strategy: verify_fix(kernel, program, max_schedules=max_schedules)
         for strategy, program in fixes_for(kernel)
     }
 
 
-def audit_bad_patches(
-    max_schedules: int = 50000, workers: Optional[int] = None
-) -> List[FixVerification]:
+def audit_bad_patches(max_schedules: int = 50000) -> List[FixVerification]:
     """Run the modelled incorrect first patches through verification.
 
     Every returned verification must be non-clean — the point of the
@@ -103,6 +91,6 @@ def audit_bad_patches(
     success.
     """
     return [
-        verify_fix(kernel, patched, max_schedules=max_schedules, workers=workers)
+        verify_fix(kernel, patched, max_schedules=max_schedules)
         for kernel, patched, _why in bad_patches()
     ]

@@ -67,14 +67,13 @@ class BugKernel:
     def find_manifestation(
         self,
         max_schedules: int = 20000,
-        workers: Optional[int] = None,
+        *,
         memoize: bool = False,
         directed: bool = False,
         reduction: Optional[str] = None,
     ) -> Optional[RunResult]:
         """A failing run of the buggy program, or ``None`` if unreachable.
 
-        ``workers > 1`` shards the search across a process pool.
         ``memoize=True`` is sound here only if the kernel's failure oracle
         inspects terminal state, not the schedule/trace — the bundled
         kernels' oracles do, but it stays opt-in.
@@ -85,21 +84,19 @@ class BugKernel:
         ``reduction`` skips schedules equivalent to one already run —
         sound for the same oracles ``memoize`` is sound for (every
         terminal state keeps a representative), and composable with
-        ``directed``, ``memoize``, and ``workers`` (``reduction="dpor"``
-        with ``workers > 1`` runs the speculative parallel DPOR search,
-        bit-identical to the serial reduced one).
+        ``directed`` and ``memoize``.
         """
         targets = self.static_targets() if directed else None
         explorer = make_explorer(
-            self.buggy, max_schedules, 5000, None, workers, memoize,
-            targets=targets, reduction=reduction,
+            self.buggy, max_schedules, 5000, None,
+            memoize=memoize, targets=targets, reduction=reduction,
         )
         start = perf_counter()
         result = explorer.explore(predicate=self.failure, stop_on_first=True)
         _emit_exploration_runlog(
             "kernel.find_manifestation", result, max_schedules, 5000, None,
-            workers, memoize, perf_counter() - start, directed=directed,
-            reduction=reduction,
+            memoize=memoize, wall_seconds=perf_counter() - start,
+            directed=directed, reduction=reduction,
         )
         return result.matching[0] if result.matching else None
 
@@ -113,30 +110,26 @@ class BugKernel:
 
         return analyse(self.buggy).pairs
 
-    def manifestation_rate(
-        self, max_schedules: int = 20000, workers: Optional[int] = None
-    ) -> float:
+    def manifestation_rate(self, max_schedules: int = 20000) -> float:
         """Fraction of all schedules of the buggy program that manifest.
 
         No ``memoize`` or ``reduction`` option: the rate is a ratio
         over *all* interleavings, and anything that prunes or collapses
         schedules skews it.
         """
-        explorer = make_explorer(
-            self.buggy, max_schedules, 5000, None, workers, False,
-        )
+        explorer = make_explorer(self.buggy, max_schedules, 5000, None)
         start = perf_counter()
         outcome = explorer.explore(predicate=self.failure)
         _emit_exploration_runlog(
             "kernel.manifestation_rate", outcome, max_schedules, 5000, None,
-            workers, False, perf_counter() - start,
+            memoize=False, wall_seconds=perf_counter() - start,
         )
         return outcome.match_rate()
 
     def verify_fixed(
         self,
         max_schedules: int = 50000,
-        workers: Optional[int] = None,
+        *,
         memoize: bool = False,
         reduction: Optional[str] = None,
     ) -> bool:
@@ -147,14 +140,15 @@ class BugKernel:
         checking far fewer interleavings.
         """
         explorer = make_explorer(
-            self.fixed, max_schedules, 5000, None, workers, memoize,
-            keep_matches=1, reduction=reduction,
+            self.fixed, max_schedules, 5000, None,
+            memoize=memoize, keep_matches=1, reduction=reduction,
         )
         start = perf_counter()
         outcome = explorer.explore(predicate=self.failure, stop_on_first=True)
         _emit_exploration_runlog(
             "kernel.verify_fixed", outcome, max_schedules, 5000, None,
-            workers, memoize, perf_counter() - start, reduction=reduction,
+            memoize=memoize, wall_seconds=perf_counter() - start,
+            reduction=reduction,
         )
         return outcome.complete and not outcome.found
 

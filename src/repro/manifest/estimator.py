@@ -12,10 +12,9 @@ All estimates are deterministic given the seed range.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.kernels.base import BugKernel
 from repro.obs import metrics as obs_metrics
@@ -57,51 +56,6 @@ class ManifestationEstimate:
         return f"{self.strategy}: {self.manifested}/{self.runs} ({self.rate:.1%})"
 
 
-#: Worker-process state for parallel estimation (inherited via fork, so
-#: generator-closure programs and closure factories need not pickle).
-_WORKER: Dict[str, Any] = {}
-
-
-def _init_worker(
-    program: Program,
-    failure: Callable[[RunResult], bool],
-    scheduler_factory: SchedulerFactory,
-    max_steps: int,
-) -> None:
-    _WORKER["program"] = program
-    _WORKER["failure"] = failure
-    _WORKER["scheduler_factory"] = scheduler_factory
-    _WORKER["max_steps"] = max_steps
-
-
-def _count_range(seed_range: Tuple[int, int]) -> int:
-    """Failures over ``range(*seed_range)``; runs inside a worker."""
-    lo, hi = seed_range
-    manifested = 0
-    for seed in range(lo, hi):
-        result = run_program(
-            _WORKER["program"],
-            _WORKER["scheduler_factory"](seed),
-            max_steps=_WORKER["max_steps"],
-        )
-        if _WORKER["failure"](result):
-            manifested += 1
-    return manifested
-
-
-def _seed_ranges(runs: int, shards: int) -> List[Tuple[int, int]]:
-    """Split ``range(runs)`` into ``shards`` contiguous near-equal ranges."""
-    step, extra = divmod(runs, shards)
-    ranges = []
-    lo = 0
-    for index in range(shards):
-        hi = lo + step + (1 if index < extra else 0)
-        if hi > lo:
-            ranges.append((lo, hi))
-        lo = hi
-    return ranges
-
-
 def estimate_manifestation(
     program: Program,
     failure: Callable[[RunResult], bool],
@@ -109,48 +63,24 @@ def estimate_manifestation(
     runs: int = 100,
     strategy: str = "custom",
     max_steps: int = 20000,
-    workers: Optional[int] = None,
 ) -> ManifestationEstimate:
-    """Run ``program`` ``runs`` times under seeded schedulers; count failures.
-
-    ``workers > 1`` splits the seed range across a process pool; every
-    seed still runs exactly once, so the estimate is identical to the
-    serial one for any worker count.
-    """
+    """Run ``program`` ``runs`` times under seeded schedulers; count failures."""
     start = perf_counter()
-    if (
-        workers is not None
-        and workers > 1
-        and runs > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-    ):
-        ranges = _seed_ranges(runs, min(workers, runs))
-        context = multiprocessing.get_context("fork")
-        with context.Pool(
-            processes=len(ranges),
-            initializer=_init_worker,
-            initargs=(program, failure, scheduler_factory, max_steps),
-        ) as pool:
-            manifested = sum(pool.map(_count_range, ranges))
-    else:
-        manifested = 0
-        for seed in range(runs):
-            result = run_program(
-                program, scheduler_factory(seed), max_steps=max_steps
-            )
-            if failure(result):
-                manifested += 1
+    manifested = 0
+    for seed in range(runs):
+        result = run_program(program, scheduler_factory(seed), max_steps=max_steps)
+        if failure(result):
+            manifested += 1
     estimate = ManifestationEstimate(
         strategy=strategy, runs=runs, manifested=manifested
     )
-    _record_estimate(program.name, estimate, workers, perf_counter() - start)
+    _record_estimate(program.name, estimate, perf_counter() - start)
     return estimate
 
 
 def _record_estimate(
     program: str,
     estimate: ManifestationEstimate,
-    workers: Optional[int],
     wall_seconds: float,
 ) -> None:
     """Publish one estimator sweep to metrics and the run log (if active)."""
@@ -164,7 +94,7 @@ def _record_estimate(
             "estimate_manifestation",
             program=program,
             strategy=estimate.strategy,
-            args={"runs": estimate.runs, "workers": workers},
+            args={"runs": estimate.runs},
             result={
                 "manifested": estimate.manifested,
                 "rate": estimate.rate,
@@ -178,7 +108,7 @@ def compare_strategies(
     runs: int = 100,
     pct_depth: int = 3,
     pct_horizon: Optional[int] = None,
-    workers: Optional[int] = None,
+    *,
     reduction: Optional[str] = None,
 ) -> Dict[str, ManifestationEstimate]:
     """Manifestation rates of one kernel under the standard strategies.
@@ -223,12 +153,12 @@ def compare_strategies(
         "random": estimate_manifestation(
             kernel.buggy, kernel.failure,
             lambda seed: RandomScheduler(seed=seed),
-            runs=runs, strategy="random", workers=workers,
+            runs=runs, strategy="random",
         ),
         "pct": estimate_manifestation(
             kernel.buggy, kernel.failure,
             lambda seed: PCTScheduler(seed=seed, depth=pct_depth, horizon=horizon),
-            runs=runs, strategy="pct", workers=workers,
+            runs=runs, strategy="pct",
         ),
     }
     # Systematic-search row: a bounded exhaustive hunt for the first
@@ -237,13 +167,7 @@ def compare_strategies(
     from repro.sim.explorer import make_explorer
 
     exhaustive_start = perf_counter()
-    # Workers ride along wherever the combination is legal (plain DFS
-    # and parallel DPOR); sleep sets stay serial — their pruning needs
-    # the full sibling set in one process.
-    exhaustive_workers = workers if reduction != "sleepset" else None
-    explorer = make_explorer(
-        kernel.buggy, workers=exhaustive_workers, reduction=reduction
-    )
+    explorer = make_explorer(kernel.buggy, reduction=reduction)
     exploration = explorer.explore(
         predicate=kernel.failure, stop_on_first=True
     )
@@ -258,7 +182,7 @@ def compare_strategies(
         manifested=1 if exploration.match_count else 0,
     )
     _record_estimate(
-        kernel.buggy.name, estimates["exhaustive"], workers,
+        kernel.buggy.name, estimates["exhaustive"],
         perf_counter() - exhaustive_start,
     )
     # Adaptive row: schedules-to-first-finding when a UCB1 bandit must
@@ -275,7 +199,7 @@ def compare_strategies(
         manifested=1 if race.found else 0,
     )
     _record_estimate(
-        kernel.buggy.name, estimates["adaptive"], None,
+        kernel.buggy.name, estimates["adaptive"],
         perf_counter() - adaptive_start,
     )
     enforced = 0
@@ -295,7 +219,7 @@ def compare_strategies(
         strategy="enforced(<=4 accesses)", runs=runs, manifested=enforced
     )
     _record_estimate(
-        kernel.buggy.name, estimates["enforced"], None,
+        kernel.buggy.name, estimates["enforced"],
         perf_counter() - enforced_start,
     )
     return estimates

@@ -11,8 +11,8 @@ off** (a single ``None`` check on the instrumented paths):
   invocation) so every reported number is traceable to the searches
   that produced it;
 * :mod:`repro.obs.profile` — named span timers around the hot phases
-  (engine op execution, state fingerprinting, shard dispatch/merge)
-  with a sorted hot-path table.
+  (engine op execution, prefix replay, state fingerprinting) with a
+  sorted hot-path table.
 
 ``obs`` sits *below* every other layer: it imports nothing from
 ``repro`` outside :mod:`repro.errors`-free stdlib code, so any module

@@ -2,7 +2,7 @@
 
 The registry is the measurement substrate under every exploration,
 detector run, and estimator sweep: instrumented code reports *what it
-did* (schedules run, states expanded, cache hits, shard wall-clock,
+did* (schedules run, states expanded, cache hits, wall-clock,
 detector verdicts) and callers read it back as a plain-dict snapshot
 suitable for JSONL export (:mod:`repro.obs.runlog`) or assertion in
 tests and benchmarks.
@@ -18,11 +18,10 @@ Design constraints, in order:
    loop.
 2. **Labels, not name mangling.**  A metric is identified by
    ``(name, sorted label items)``; the same counter name aggregates
-   across programs/explorers/shards and slices by label.
-3. **No dependencies, no threads, no locks.**  Exploration worker
-   *processes* each see their own (forked) registry; cross-process
-   merging happens at the :class:`~repro.sim.explorer.ExplorationResult`
-   level, where shard results already travel back to the parent (see
+   across programs/explorers and slices by label.
+3. **No dependencies, no threads, no locks.**  Service worker
+   *processes* each see their own (forked) registry; what crosses the
+   fork boundary is the job payload, not the registry (see
    ``docs/observability.md``).
 
 Metric types:

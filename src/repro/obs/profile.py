@@ -3,8 +3,8 @@
 ``cProfile`` on the exploration hot path distorts exactly what it
 measures (every generator resume and scheduler call gets traced).  These
 spans are the opposite trade-off: a handful of hand-placed timers around
-the phases that matter — engine op execution, state fingerprinting,
-shard dispatch, shard merge — with near-zero cost when profiling is off
+the phases that matter — engine op execution, prefix replay, state
+fingerprinting — with near-zero cost when profiling is off
 and two ``perf_counter`` calls per span when it is on.
 
 Usage::
@@ -18,7 +18,7 @@ Usage::
 
 Instrumented code uses either the context manager::
 
-    with profile.span("parallel.dispatch"):
+    with profile.span("my.phase"):
         ...
 
 (which is a shared no-op singleton while disabled), or — in per-step

@@ -20,7 +20,7 @@ un-instrumented workloads pay one ``None`` check per entry-point call.
 Record schema (``docs/observability.md`` has the worked example)::
 
     {
-      "schema": "repro.runlog/v1",
+      "schema": "repro.runlog/v2",
       "event": "<entry point: enumerate_outcomes | find_schedule |
                  estimate_manifestation | bug_report | cli | bench>",
       "ts": <unix seconds, float>,
@@ -28,10 +28,10 @@ Record schema (``docs/observability.md`` has the worked example)::
     }
 
 Exploration events carry ``program``, ``args`` (the bounds:
-``max_schedules``/``max_steps``/``preemption_bound``/``workers``/
-``memoize``), ``result`` (``schedules_run``, ``cache_hits``,
-``states_expanded``, ``preemptions_spent``, ``complete``,
-``match_count``, ``shards``, ``statuses``, ``distinct_outcomes``),
+``max_schedules``/``max_steps``/``preemption_bound``/``memoize``),
+``result`` (``schedules_run``, ``cache_hits``, ``states_expanded``,
+``preemptions_spent``, ``complete``, ``match_count``, ``statuses``,
+``distinct_outcomes``, ``schedules_to_first_finding``),
 ``outcome_digest`` and ``wall_seconds``.
 """
 
@@ -55,7 +55,7 @@ __all__ = [
     "set_runlog",
 ]
 
-SCHEMA = "repro.runlog/v1"
+SCHEMA = "repro.runlog/v2"
 
 Sink = Union[str, Path, Callable[[Dict[str, Any]], None]]
 
@@ -134,8 +134,8 @@ def outcome_digest(outcomes: Iterable[Any]) -> str:
     """Stable hex digest of a terminal outcome *set*.
 
     Keys are hashed by their ``repr`` in sorted order, so the digest is
-    identical across serial / parallel / memoized explorations of the
-    same program (memoization preserves the outcome set, not counts).
+    identical across plain / reduced / memoized explorations of the
+    same program (they preserve the outcome set, not counts).
     """
     blob = "\n".join(sorted(repr(key) for key in outcomes))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -158,7 +158,6 @@ def exploration_record(result: Any, args: Dict[str, Any], wall_seconds: float) -
             "preemptions_spent": result.preemptions_spent,
             "complete": result.complete,
             "match_count": result.match_count,
-            "shards": result.shards,
             "statuses": {
                 status.value: count for status, count in sorted(
                     result.statuses.items(), key=lambda item: item[0].value
@@ -166,10 +165,6 @@ def exploration_record(result: Any, args: Dict[str, Any], wall_seconds: float) -
             },
             "distinct_outcomes": len(result.outcomes),
             "schedules_to_first_finding": result.schedules_to_first_finding,
-            "steal_donations": result.steal_donations,
-            "stolen_prefixes": result.stolen_prefixes,
-            "idle_seconds": result.idle_seconds,
-            "donate_seconds": result.donate_seconds,
         },
         "outcome_digest": outcome_digest(result.outcomes),
         "wall_seconds": wall_seconds,

@@ -52,7 +52,7 @@ __all__ = [
 #: Version tag baked into every cache key; bump on any change to the
 #: verdict payloads or option normalisation so stale persisted verdicts
 #: can never be served under a new scheme.
-KEY_SCHEMA = "repro.service.key/v2"
+KEY_SCHEMA = "repro.service.key/v3"
 
 
 class JobError(Exception):
@@ -101,14 +101,11 @@ class JobOptions:
 
     Every field participates in the cache key: ``reduction`` and
     ``preemption_bound`` genuinely change which schedules run,
-    ``memoize`` changes which runs complete, and ``workers`` *should*
-    be verdict-neutral but stays in the key so a cached verdict is
-    always attributable to one exact configuration (conservative
-    misses over clever sharing).
+    ``memoize`` changes which runs complete, and ``max_schedules`` and
+    ``memory`` change what a verdict can claim.
     """
 
     reduction: Optional[str] = None
-    workers: Optional[int] = None
     preemption_bound: Optional[int] = None
     memoize: bool = False
     max_schedules: Optional[int] = None
@@ -124,7 +121,7 @@ class JobOptions:
         unknown = sorted(set(raw) - known)
         if unknown:
             raise JobError(f"unknown job option(s): {', '.join(unknown)}")
-        for key in ("workers", "preemption_bound", "max_schedules"):
+        for key in ("preemption_bound", "max_schedules"):
             if raw.get(key) is not None and (
                 not isinstance(raw[key], int) or raw[key] < 1
             ):
@@ -145,7 +142,6 @@ class JobOptions:
                 )
         return cls(
             reduction=raw.get("reduction"),
-            workers=raw.get("workers"),
             preemption_bound=raw.get("preemption_bound"),
             memoize=bool(raw.get("memoize", False)),
             max_schedules=raw.get("max_schedules"),
@@ -162,7 +158,6 @@ class JobOptions:
         """The normalised option tuple folded into the cache key."""
         return (
             ("reduction", self.reduction or "none"),
-            ("workers", self.workers or 1),
             ("preemption_bound", self.preemption_bound),
             ("memoize", self.memoize),
             ("max_schedules", self.budget(kind)),
@@ -173,7 +168,6 @@ class JobOptions:
         """JSON-native rendering (for job payloads and runlog records)."""
         return {
             "reduction": self.reduction,
-            "workers": self.workers,
             "preemption_bound": self.preemption_bound,
             "memoize": self.memoize,
             "max_schedules": self.max_schedules,
@@ -325,16 +319,15 @@ def exploration_setup(
     program = _target_program(kind, kernel, options)
     if kind in (JobKind.CHECK, JobKind.DETECT):
         explorer = make_explorer(
-            program, options.budget(kind), 5000,
-            options.preemption_bound, options.workers, options.memoize,
-            keep_matches=1, reduction=options.reduction,
+            program, options.budget(kind), 5000, options.preemption_bound,
+            memoize=options.memoize, keep_matches=1,
+            reduction=options.reduction,
         )
         return program, explorer, kernel.failure, True
     if kind is JobKind.EXPLORE:
         explorer = make_explorer(
-            program, options.budget(kind), 5000,
-            options.preemption_bound, options.workers, options.memoize,
-            reduction=options.reduction,
+            program, options.budget(kind), 5000, options.preemption_bound,
+            memoize=options.memoize, reduction=options.reduction,
         )
         return program, explorer, _never, False
     raise JobError(f"job kind {kind.value!r} is not exploration-backed")

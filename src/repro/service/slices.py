@@ -21,12 +21,11 @@ the worker-side entry point, the sliced counterpart of
   verdict and ``engine_runs`` are bit-identical to ``run_job``'s.
 
 Which jobs can slice (:func:`job_sliceable`): the exploration-backed
-kinds (check / detect / explore) on a serial search under no reduction
-or sleep sets — exactly the combinations whose explorers accept
+kinds (check / detect / explore) under no reduction or sleep sets —
+exactly the combinations whose explorers accept
 ``slice_budget``/``frontier`` (see ``docs/allocator.md``).  DPOR,
-parallel searches, ``static`` and ``source`` jobs run to completion in
-a single dispatch; the allocator still schedules them, as one
-whole-job pull.
+``static`` and ``source`` jobs run to completion in a single dispatch;
+the allocator still schedules them, as one whole-job pull.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ def job_sliceable(kind: JobKind, options: JobOptions) -> bool:
     """Whether this (kind, options) pair can run as frontier slices."""
     return (
         kind in SLICEABLE_KINDS
-        and (options.workers or 1) <= 1
         and options.reduction in _SLICEABLE_REDUCTIONS
     )
 

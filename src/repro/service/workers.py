@@ -3,18 +3,18 @@
 The service's asyncio loop must never run an exploration itself — a
 single ``detect`` job can take seconds of pure-CPU engine time, and the
 loop has submissions to accept and status requests to answer meanwhile.
-:class:`WorkerFleet` owns that boundary: jobs go to a
-``ProcessPoolExecutor`` built on the ``fork`` start method — the same
-machinery (and the same availability rules) as
-:class:`repro.sim.parallel.ParallelExplorer` — and come back as plain
-dicts via :func:`repro.service.jobs.run_job`.
+:class:`WorkerFleet` owns that boundary, and it is the package's only
+process pool: jobs go to a ``ProcessPoolExecutor`` built on the ``fork``
+start method and come back as plain dicts via
+:func:`repro.service.jobs.run_job`.  Each job runs one serial search, so
+the fleet's parallelism is across jobs.
 
 Where ``fork`` is unavailable (or explicitly disabled with
 ``pool="none"``), the fleet degrades to a thread pool: verdicts are
 identical because :func:`run_job` is a pure function of its arguments;
 only wall-clock parallelism is lost to the GIL.  ``pool="fork"`` forces
-the process pool and raises at construction when it cannot be honoured,
-mirroring ``parallel.py`` — nothing silently degrades.
+the process pool and raises at construction when it cannot be honoured
+— nothing silently degrades.
 
 Sizing guidance lives in ``docs/service.md``; the short version is
 :func:`default_fleet_size`: one worker per core up to 4 by default,

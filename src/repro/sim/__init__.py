@@ -10,9 +10,7 @@ C/C++ executions of the ASPLOS'08 study.  It provides:
 * pluggable schedulers, from random stress to PCT
   (:mod:`repro.sim.scheduler`),
 * exhaustive bounded interleaving exploration
-  (:mod:`repro.sim.explorer`), spread across processes with work
-  stealing by :mod:`repro.sim.parallel` and cut down by the
-  partial-order reductions of :mod:`repro.sim.reduction` (sleep sets)
+  (:mod:`repro.sim.explorer`), cut down by the partial-order reductions of :mod:`repro.sim.reduction` (sleep sets)
   and :mod:`repro.sim.dpor` (dynamic POR with source sets) and the
   state-fingerprint memoization of :mod:`repro.sim.statecache`, and
 * record/replay of interleavings (:mod:`repro.sim.replay`).
@@ -38,12 +36,10 @@ from repro.sim.memory import (
     MEMORY_MODELS,
     MemoryModel,
     SCMemory,
-    SharedMemory,
     TSOMemory,
     make_memory_model,
 )
 from repro.sim.minimize import MinimalWitness, minimize_preemptions, preemption_count
-from repro.sim.parallel import ParallelExplorer
 from repro.sim.reduction import SleepSetExplorer, op_footprint, ops_dependent
 from repro.sim.statecache import StateCache, canonical_value, state_fingerprint
 from repro.sim.ops import (
@@ -105,7 +101,6 @@ __all__ = [
     "SleepSetExplorer",
     "DPORExplorer",
     "REDUCTIONS",
-    "ParallelExplorer",
     "StateCache",
     "state_fingerprint",
     "canonical_value",
@@ -152,6 +147,5 @@ __all__ = [
     "MemoryModel",
     "SCMemory",
     "TSOMemory",
-    "SharedMemory",
     "make_memory_model",
 ]

@@ -67,13 +67,6 @@ now compose:
   at most what the explored path itself paid there, so the conservative
   points are always feasible.  The differential harness asserts
   outcome-set equality against plain DFS at the same bound.
-* ``workers > 1`` — :class:`repro.sim.dpor_parallel.ParallelDPORExplorer`
-  runs backtrack branches as speculative work items over the shared
-  queue, with per-worker race detection; races targeting frozen
-  ancestor nodes travel back as data and are re-applied by the
-  coordinator in serial order, so the key-sorted merge reproduces the
-  serial search bit-for-bit.  The frozen-ancestor hooks live here
-  (``_explore_item`` and the ``ancestor_races`` record list).
 
 ``targets=`` race-directed bias composes: it only reorders which awake
 thread extends a run and which backtrack candidate is taken first, and
@@ -82,7 +75,7 @@ DPOR's correctness is independent of visit order.
 The differential tests in ``tests/sim/test_dpor.py`` check outcome-set
 equality against plain DFS and the sleep-set explorer over randomly
 generated programs (crashing ones included) and every bug kernel,
-across the full ``memoize x preemption_bound x workers`` matrix;
+across the full ``memoize x preemption_bound`` matrix;
 ``benchmarks/bench_dpor.py`` records the schedule counts next to the
 sleep-set explorer's.
 """
@@ -95,7 +88,6 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.errors import ReproError
 from repro.obs import metrics as obs_metrics
 from repro.sim import ops
-from repro.sim.frontier import reject_slicing
 from repro.sim.engine import Engine, RunResult, RunStatus
 from repro.sim.memory import FLUSH_PREFIX
 from repro.sim.explorer import (
@@ -415,12 +407,10 @@ class DPORExplorer:
     """Stateless exploration with dynamic partial-order reduction.
 
     Composes with the accelerators of the plain explorer:
-    ``memoize=True`` (memo-aborted runs are handled as truncated runs),
-    ``preemption_bound`` (bounded POR with conservative backtrack points
-    at context-switch boundaries), and — through
-    :func:`~repro.sim.explorer.make_explorer` with ``workers > 1`` —
-    :class:`repro.sim.dpor_parallel.ParallelDPORExplorer`.  See the
-    module docstring for the composed semantics.
+    ``memoize=True`` (memo-aborted runs are handled as truncated runs)
+    and ``preemption_bound`` (bounded POR with conservative backtrack
+    points at context-switch boundaries).  See the module docstring for
+    the composed semantics.
     """
 
     def __init__(
@@ -456,22 +446,13 @@ class DPORExplorer:
         self.pruned_runs = 0
         self.races_detected = 0
         self.backtrack_points = 0
-        #: Races targeting frozen ancestor nodes (parallel items only):
-        #: ``("race" | "boundary", depth, initials, thread)`` records in
-        #: detection order, re-applied live by the coordinator.
-        self.ancestor_races: List[Tuple[str, int, FrozenSet[str], str]] = []
-        # Search state (valid between _begin and _finish).
+        # Search state of the running exploration: the current execution
+        # path, and the trace of the latest run — every node of the path
+        # was executed by it, so the next branch's prefix events are its
+        # own.
         self._path: List[_Node] = []
-        # Trace of the latest run: every node of the current path was
-        # executed by it, so the next branch's prefix events are its own.
         self._latest: Optional[Trace] = None
-        self._frozen = 0
-        self._seed: Optional[
-            Tuple[List[str], FrozenSet[str], Optional[Any]]
-        ] = None
-        self._attempts = 0
         self._match: Predicate = _default_predicate
-        self._stop_on_first = False
 
     def explore(
         self,
@@ -491,88 +472,47 @@ class DPORExplorer:
         restart that reaches the verdict reproduces it bit-for-bit
         (``docs/allocator.md``).
         """
-        reject_slicing(
-            "reduction='dpor'",
-            "backtrack sets are discovered behind the DFS position, so a "
-            "pending-stack checkpoint under-approximates the remaining "
-            "work; restart with a larger max_schedules instead",
-            slice_budget, frontier,
-        )
+        if slice_budget is not None or frontier is not None:
+            raise ValueError(
+                "reduction='dpor' does not support sliced resumable "
+                "exploration: backtrack sets are discovered behind the DFS "
+                "position, so a pending-stack checkpoint under-approximates "
+                "the remaining work; restart with a larger max_schedules "
+                "instead"
+            )
         start = perf_counter()
-        result = self._begin(predicate, stop_on_first)
-        while self._step(result):
-            pass
-        self._finish(result, start)
-        return result
-
-    def _explore_item(
-        self,
-        base: Sequence[_Node],
-        seed: Tuple[List[str], FrozenSet[str], Optional[Any]],
-        predicate: Optional[Predicate] = None,
-        stop_on_first: bool = False,
-    ) -> ExplorationResult:
-        """Explore one parallel work item: a branch below frozen ancestors.
-
-        ``base`` holds the reconstructed ancestor nodes (chosen thread,
-        executed op/footprint, preemptions paid); ``seed`` is the item's
-        committed first schedule.  Races that target an ancestor are
-        recorded on :attr:`ancestor_races` instead of planted — the
-        coordinator replants them against live node state.  Used by
-        :class:`repro.sim.dpor_parallel.ParallelDPORExplorer`.
-        """
-        start = perf_counter()
-        result = self._begin(predicate, stop_on_first, base=base, seed=seed)
-        while self._step(result):
-            pass
-        self._finish(result, start)
-        return result
-
-    # -- search loop ---------------------------------------------------------
-
-    def _begin(
-        self,
-        predicate: Optional[Predicate],
-        stop_on_first: bool,
-        base: Optional[Sequence[_Node]] = None,
-        seed: Optional[
-            Tuple[List[str], FrozenSet[str], Optional[Any]]
-        ] = None,
-    ) -> ExplorationResult:
-        """Reset search state.  ``base`` installs frozen ancestor nodes
-        (a parallel item's context); ``seed`` its first branch."""
         self._match = predicate if predicate is not None else _default_predicate
-        self._stop_on_first = stop_on_first
         self.pruned_runs = 0
         self.races_detected = 0
         self.backtrack_points = 0
-        self.ancestor_races = []
         self.cache = StateCache() if self.memoize else None
-        self._path = list(base) if base else []
+        self._path = []
         self._latest = None
-        self._frozen = len(self._path)
-        self._seed = seed if seed is not None else ([], frozenset(), None)
-        self._attempts = 0
-        return ExplorationResult(
+        result = ExplorationResult(
             program=self.program.name, schedules_run=0, complete=True
         )
-
-    def _step(self, result: ExplorationResult) -> bool:
-        """One run + race sweep + next-branch selection; ``False`` ends."""
-        if self._seed is None:
-            return False
-        if self._attempts >= self.max_schedules:
-            result.complete = False
-            return False
-        self._attempts += 1
-        prefix, sleep, snapshot = self._seed
-        run, scheduler, final_tail = self._run_once(prefix, sleep, snapshot)
-        matched = self._absorb(result, run, scheduler, final_tail, len(prefix))
-        if matched and self._stop_on_first:
-            result.complete = False
-            return False
-        self._seed = self._select_next(self._path)
-        return self._seed is not None
+        # Each run + race sweep + next-branch selection; the seed is the
+        # next run's (prefix, initial sleep set, pipeline snapshot).
+        seed: Optional[Tuple[List[str], FrozenSet[str], Optional[Any]]] = (
+            [], frozenset(), None
+        )
+        attempts = 0
+        while seed is not None:
+            if attempts >= self.max_schedules:
+                result.complete = False
+                break
+            attempts += 1
+            prefix, sleep, snapshot = seed
+            run, scheduler, final_tail = self._run_once(prefix, sleep, snapshot)
+            matched = self._absorb(
+                result, run, scheduler, final_tail, len(prefix)
+            )
+            if matched and stop_on_first:
+                result.complete = False
+                break
+            seed = self._select_next(self._path)
+        self._finish(result, start)
+        return result
 
     def _absorb(
         self,
@@ -809,15 +749,7 @@ class DPORExplorer:
         thread: str,
         steps: List[Tuple[str, FrozenSet[Token]]],
     ) -> None:
-        """Apply the addition decision for a race at node ``i``.
-
-        Frozen ancestor nodes (parallel items) are never mutated: the
-        race travels back as a record and the coordinator replants it
-        with live node state, preserving the serial covered-check.
-        """
-        if i < self._frozen:
-            self.ancestor_races.append(("race", i, frozenset(initials), thread))
-            return
+        """Apply the addition decision for a race at node ``i``."""
         pre = path[i]
         bound = self.preemption_bound
         if bound is None:
@@ -878,11 +810,6 @@ class DPORExplorer:
         """
         for j in range(i, -1, -1):
             if j != 0 and steps[j - 1][0] == steps[j][0]:
-                continue
-            if j < self._frozen:
-                self.ancestor_races.append(
-                    ("boundary", j, frozenset(initials), thread)
-                )
                 continue
             self._plant_boundary(
                 path[j],
@@ -967,31 +894,22 @@ class DPORExplorer:
             self._add_backtrack(path, thread, i, last, steps, pasts, None)
             break
 
-    def _peek_selection(
-        self,
-        path: List[_Node],
-        done_map: Optional[Dict[int, Set[str]]] = None,
-        length: Optional[int] = None,
-    ) -> Optional[Tuple[int, str, FrozenSet[str]]]:
-        """Next branch — deepest node with an unexplored feasible thread.
+    def _select_next(
+        self, path: List[_Node]
+    ) -> Optional[Tuple[List[str], FrozenSet[str], Optional[Any]]]:
+        """Deepest node with an unexplored awake (and feasible) thread.
 
-        Non-mutating except that bounded-infeasible candidates are
-        dropped from backtrack sets (they can never be selected, and
-        leaving them would let them falsely cover later reversals; the
-        drop is identical wherever the peek happens, so speculative
-        peeks stay exact).  ``done_map``/``length`` overlay speculative
-        done-sets and a speculative path truncation — the parallel
-        coordinator's what-if view.
+        Truncates the path there, marks the branch done, and returns the
+        (prefix, initial sleep, pipeline snapshot) of the next run.
+        ``None`` means the whole reduced tree is explored.  Under a bound,
+        infeasible candidates are dropped from the backtrack sets on the
+        way: they can never be selected, and leaving them would let them
+        falsely cover later reversals.
         """
         bound = self.preemption_bound
-        limit = len(path) if length is None else length
-        for depth in range(limit - 1, self._frozen - 1, -1):
+        for depth in range(len(path) - 1, -1, -1):
             node = path[depth]
-            if done_map is None:
-                done = node.done
-            else:
-                done = done_map.setdefault(depth, set(node.done))
-            candidates = node.backtrack - done - set(node.sleep)
+            candidates = node.backtrack - node.done - set(node.sleep)
             if candidates and bound is not None:
                 previous = path[depth - 1].chosen if depth > 0 else None
                 infeasible = {
@@ -1020,44 +938,19 @@ class DPORExplorer:
                 chosen_footprint = node.footprints[choice]
                 new_sleep = frozenset(
                     name
-                    for name in (node.sleep | done)
+                    for name in (node.sleep | node.done)
                     if name != choice
                     and name in node.footprints
                     and not ops_dependent(
                         node.footprints[name], chosen_footprint
                     )
                 )
-            return depth, choice, new_sleep
+            node.done.add(choice)
+            node.chosen = choice
+            del path[depth + 1:]
+            prefix = [n.chosen for n in path]
+            return prefix, new_sleep, node.snapshot
         return None
-
-    def _commit_selection(
-        self,
-        path: List[_Node],
-        depth: int,
-        choice: str,
-        new_sleep: FrozenSet[str],
-    ) -> Tuple[List[str], FrozenSet[str], Optional[Any]]:
-        """Take the branch: mark it done, truncate the path, build seed."""
-        node = path[depth]
-        node.done.add(choice)
-        node.chosen = choice
-        del path[depth + 1:]
-        prefix = [n.chosen for n in path]
-        return prefix, new_sleep, node.snapshot
-
-    def _select_next(
-        self, path: List[_Node]
-    ) -> Optional[Tuple[List[str], FrozenSet[str], Optional[Any]]]:
-        """Deepest node with an unexplored awake backtrack thread.
-
-        Truncates the path there, marks the branch done, and returns the
-        (prefix, initial sleep, pipeline snapshot) of the next run.
-        ``None`` means the whole reduced tree is explored.
-        """
-        selection = self._peek_selection(path)
-        if selection is None:
-            return None
-        return self._commit_selection(path, *selection)
 
     def _finish(self, result: ExplorationResult, start: float) -> None:
         """Close out one exploration: pipeline copy, wall-clock, metrics."""

@@ -32,16 +32,10 @@ result records how many attempts were cut short.
 The default extension policy is *non-preemptive* (keep running the current
 thread while it stays enabled), so the very first schedule explored is the
 one a cooperative scheduler would produce.
-
-For multi-core machines, :class:`repro.sim.parallel.ParallelExplorer`
-shards this same search by prefix across a process pool; the
-``workers=`` argument of :func:`find_schedule` and
-:func:`enumerate_outcomes` selects it.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -143,20 +137,9 @@ class _DirectedPolicy:
 #: ``None``).  The snapshot lets a sibling run resume analysis from the
 #: shared prefix instead of re-analysing it; the trace lets the engine
 #: adopt the prefix's events instead of rebuilding them.  Traces never
-#: leave the process: checkpoints keep only ``(prefix, paid)`` and
-#: worker items go through :func:`_detach`, so those seeds replay with
-#: emission.
+#: leave the process: checkpoints keep only ``(prefix, paid)``, so
+#: resumed seeds replay with emission.
 Seed = Tuple[List[str], int, Optional[Any], Optional[Trace]]
-
-#: Sentinel for ``_search``'s ``cache=`` parameter: "build a fresh cache
-#: from ``self.memoize``" (the parallel workers' behaviour), as opposed
-#: to an explicit cache (slice resume) or an explicit ``None``.
-_FRESH_CACHE = object()
-
-
-def _detach(seeds: Sequence[Seed]) -> List[Seed]:
-    """Seeds fit to cross a process boundary: without their traces."""
-    return [(prefix, paid, snapshot, None) for prefix, paid, snapshot, _ in seeds]
 
 
 def _start_pass(
@@ -347,39 +330,22 @@ class ExplorationResult:
     match_count: int = 0
     first_match_schedule: Optional[List[str]] = None
     #: Completed schedules up to and including the first predicate match
-    #: (``None`` when nothing matched).  Counts in *serial DFS order*
-    #: even for merged parallel searches, so it is comparable across
-    #: worker counts; memoized aborts and pruned runs are excluded.
+    #: (``None`` when nothing matched); memoized aborts and pruned runs
+    #: are excluded.
     schedules_to_first_finding: Optional[int] = None
     #: Runs aborted because they reached an already-expanded state.
     cache_hits: int = 0
-    #: Subtree shards merged into this result (0 for a serial search).
-    shards: int = 0
     #: Decision-tree nodes newly expanded (choices made beyond each
-    #: run's replayed prefix); identical for serial and complete
-    #: parallel searches because both visit every node exactly once.
+    #: run's replayed prefix).
     states_expanded: int = 0
     #: Total preemption cost paid across all executed schedule steps
     #: (replayed prefixes included).
     preemptions_spent: int = 0
-    #: State-cache lookups/stored fingerprints, summed across shards
-    #: (0 unless ``memoize=True``).
+    #: State-cache lookups/stored fingerprints (0 unless ``memoize=True``).
     cache_lookups: int = 0
     cache_states: int = 0
-    #: Wall-clock of the exploration (for a shard: that shard's search).
+    #: Wall-clock of the exploration.
     wall_seconds: float = 0.0
-    #: Work-stealing telemetry (all zero for serial searches and for the
-    #: legacy prefix-sharding strategy): donation batches made by busy
-    #: workers, total prefixes donated, and the summed wall-clock the
-    #: workers spent idle waiting for work.
-    steal_donations: int = 0
-    stolen_prefixes: int = 0
-    idle_seconds: float = 0.0
-    #: Summed wall-clock the workers spent inside donation events
-    #: (slicing the stack, bumping the shared counter, queueing
-    #: batches) — the serialization cost the steal strategy pays for
-    #: its load balance.
-    donate_seconds: float = 0.0
     #: Detector reports accumulated by an attached streaming pipeline,
     #: keyed by detector name (``None`` when exploring without one).
     #: Typed loosely because the sim layer never imports detector types.
@@ -522,7 +488,9 @@ class Explorer:
             attempts = frontier.attempts
         else:
             stack = [([], 0, None, None)]
-            result = None
+            result = ExplorationResult(
+                program=self.program.name, schedules_run=0, complete=True
+            )
             cache = StateCache() if self.memoize else None
             attempts = 0
         limit = (
@@ -531,7 +499,7 @@ class Explorer:
             else None
         )
         result, leftover = self._search(
-            stack, predicate, stop_on_first, None,
+            stack, predicate, stop_on_first,
             result=result, cache=cache, attempts=attempts, attempt_limit=limit,
         )
         result.wall_seconds = (
@@ -570,49 +538,21 @@ class Explorer:
         stack: List[Seed],
         predicate: Optional[Predicate],
         stop_on_first: bool,
-        frontier_target: Optional[int],
-        steal_hook: Optional[Callable[[List[Seed]], None]] = None,
         *,
-        result: Optional[ExplorationResult] = None,
-        cache: Any = _FRESH_CACHE,
-        attempts: int = 0,
-        attempt_limit: Optional[int] = None,
+        result: ExplorationResult,
+        cache: Optional[StateCache],
+        attempts: int,
+        attempt_limit: Optional[int],
     ) -> Tuple[ExplorationResult, List[Seed]]:
         """The DFS loop over a seeded stack; returns (result, leftover stack).
 
-        ``frontier_target`` is the sharding hook used by the parallel
-        explorer: when set, the loop stops as soon as the stack holds at
-        least that many pending prefixes — or, on narrow trees where the
-        LIFO stack never grows that deep, after that many attempts with a
-        non-empty stack — leaving the remaining prefixes for the caller to
-        distribute.  The stack is LIFO, so the serial exploration order is
-        exactly: the runs executed here, then the popped entries' subtrees
-        from the top of the leftover stack downward.
-
-        ``steal_hook`` is the work-stealing hook: called once per loop
-        iteration with the live stack, it may remove entries from the
-        *bottom* (the serially-last subtrees) to donate them to idle
-        workers.  Everything this search still runs precedes any donated
-        entry in serial order, which is what keeps the parallel merge
-        deterministic.
+        The stack is LIFO, so a slice that stops at ``attempt_limit``
+        leaves exactly the serially-next subtrees on the leftover stack,
+        top first.
         """
         match = predicate if predicate is not None else _default_predicate
-        if cache is _FRESH_CACHE:
-            cache = StateCache() if self.memoize else None
         self.cache = cache
-        if result is None:
-            result = ExplorationResult(
-                program=self.program.name, schedules_run=0, complete=True
-            )
         while stack:
-            if steal_hook is not None:
-                steal_hook(stack)
-            if not stack:
-                break
-            if frontier_target is not None and (
-                len(stack) >= frontier_target or attempts >= frontier_target
-            ):
-                break
             if attempts >= self.max_schedules:
                 result.complete = False
                 break
@@ -727,56 +667,25 @@ class Explorer:
 
 
 def _fill_cache_stats(result: ExplorationResult, cache: Optional[StateCache]) -> None:
-    """Copy a search's cache totals into its result (travels across forks)."""
+    """Copy a search's cache totals into its result."""
     if cache is not None:
         result.cache_lookups = cache.lookups
         result.cache_states = len(cache)
 
 
 def _fill_pipeline(result: ExplorationResult, pipeline: Optional[Any]) -> None:
-    """Copy an attached pipeline's reports and counters into the result.
-
-    Reports travel on the result (picklable) so parallel shards can send
-    them back to the parent for merging.
-    """
+    """Copy an attached pipeline's reports and counters into the result."""
     if pipeline is not None:
         result.detector_reports = dict(pipeline.reports)
         result.pipeline_stats = pipeline.stats.as_dict()
-
-
-def _merge_pipeline_stats(
-    into: Optional[Dict[str, Any]], add: Optional[Dict[str, Any]]
-) -> Optional[Dict[str, Any]]:
-    """Fold one shard's pipeline counter dict into an accumulated one."""
-    if add is None:
-        return into
-    if into is None:
-        return dict(add)
-    merged = dict(into)
-    for key in (
-        "events_dispatched", "events_reused", "snapshots", "restores", "passes",
-    ):
-        merged[key] = merged.get(key, 0) + add.get(key, 0)
-    firsts = [
-        stats.get("first_finding_step")
-        for stats in (into, add)
-        if stats.get("first_finding_step") is not None
-    ]
-    merged["first_finding_step"] = min(firsts) if firsts else None
-    analysed = merged["events_dispatched"] + merged["events_reused"]
-    merged["reuse_ratio"] = (
-        merged["events_reused"] / analysed if analysed else 0.0
-    )
-    return merged
 
 
 def _record_pipeline_stats(stats: Dict[str, Any], program: str) -> None:
     """Publish one exploration's pipeline counters to the metrics registry.
 
     Mirrors :func:`repro.detectors.pipeline.record_pipeline_metrics` for
-    counter dicts — the sim layer cannot import detector code, and merged
-    parallel results only carry the dict anyway.  No-op while metrics are
-    disabled.
+    counter dicts — the sim layer cannot import detector code.  No-op
+    while metrics are disabled.
     """
     registry = obs_metrics.active()
     if registry is None:
@@ -793,9 +702,8 @@ def _record_pipeline_stats(stats: Dict[str, Any], program: str) -> None:
 def _record_exploration(result: ExplorationResult, explorer: str) -> None:
     """Publish one exploration's counters to the metrics registry.
 
-    Called once per top-level ``explore()`` (the parallel explorer
-    records only its merged result, so counters never double-count).
-    No-op while metrics are disabled.
+    Called once per top-level ``explore()``.  No-op while metrics are
+    disabled.
     """
     registry = obs_metrics.active()
     if registry is None:
@@ -826,7 +734,7 @@ def _emit_exploration_runlog(
     max_schedules: int,
     max_steps: int,
     preemption_bound: Optional[int],
-    workers: Optional[int],
+    *,
     memoize: bool,
     wall_seconds: float,
     directed: bool = False,
@@ -839,7 +747,6 @@ def _emit_exploration_runlog(
         "max_schedules": max_schedules,
         "max_steps": max_steps,
         "preemption_bound": preemption_bound,
-        "workers": workers,
         "memoize": memoize,
         "directed": directed,
         "reduction": reduction or "none",
@@ -883,24 +790,21 @@ def make_explorer(
     max_schedules: int = 20000,
     max_steps: int = 5000,
     preemption_bound: Optional[int] = None,
-    workers: Optional[int] = None,
+    *,
     memoize: bool = False,
     keep_matches: int = 16,
-    pipeline_factory: Optional[Callable[[], Any]] = None,
+    pipeline: Optional[Any] = None,
     targets: Optional[Sequence[Any]] = None,
     reduction: Optional[str] = None,
 ):
-    """Serial or parallel explorer, selected by ``workers`` (shared factory).
+    """The explorer for one ``reduction`` (shared factory).
 
-    This is the one place that knows how to turn "how many workers?" into
+    This is the one place that knows how to turn a reduction name into
     the right explorer class; the detector suite, kernels, and fix
     verification all build explorers through it.
 
-    :param pipeline_factory: zero-argument callable returning a fresh
-        streaming detector pipeline (e.g.
-        ``lambda: DetectorPipeline(detectors)``).  A factory rather than an
-        instance because the parallel explorer needs an independent
-        pipeline per shard process.
+    :param pipeline: streaming detector pipeline to attach (e.g. a
+        fresh ``DetectorPipeline(detectors)``); see :class:`Explorer`.
     :param targets: ordered target pairs for race-directed exploration
         (see :class:`Explorer`); typically the ``pairs`` of a
         :class:`repro.static.report.StaticReport`.
@@ -909,61 +813,36 @@ def make_explorer(
         (:class:`~repro.sim.reduction.SleepSetExplorer`), or ``"dpor"``
         (:class:`~repro.sim.dpor.DPORExplorer`).  ``dpor`` composes with
         every accelerator: ``memoize`` prunes revisited states as
-        truncated runs, ``preemption_bound`` switches to bounded DPOR
-        with conservative boundary backtrack points, and ``workers > 1``
-        selects :class:`~repro.sim.dpor_parallel.ParallelDPORExplorer`
-        (speculative parallel DPOR, bit-identical to the serial search).
-        ``sleepset`` stays serial and unbounded: combining it with
-        ``workers > 1`` or ``preemption_bound`` raises
+        truncated runs, and ``preemption_bound`` switches to bounded DPOR
+        with conservative boundary backtrack points.  ``sleepset`` stays
+        unbounded: combining it with ``preemption_bound`` raises
         :class:`ValueError` (sleep sets assume every sibling branch is
-        explorable and every reversal serially visible).
+        explorable).
     """
     kind = reduction if reduction is not None else "none"
     if kind not in REDUCTIONS:
         raise ValueError(
             f"reduction must be one of {', '.join(REDUCTIONS)}; got {reduction!r}"
         )
-    if kind == "dpor" and workers is not None and workers > 1:
-        from repro.sim.dpor_parallel import ParallelDPORExplorer
+    if kind == "sleepset":
+        if preemption_bound is not None:
+            raise ValueError(
+                "reduction='sleepset' cannot be combined with a "
+                "preemption bound: sleep sets assume every sibling "
+                "branch is explorable, which the bound violates"
+            )
+        from repro.sim.reduction import SleepSetExplorer
 
-        return ParallelDPORExplorer(
+        return SleepSetExplorer(
             program,
-            workers=workers,
             max_schedules=max_schedules,
             max_steps=max_steps,
             keep_matches=keep_matches,
             memoize=memoize,
-            preemption_bound=preemption_bound,
-            pipeline_factory=pipeline_factory,
+            pipeline=pipeline,
             targets=targets,
         )
-    if kind != "none":
-        if workers is not None and workers > 1:
-            raise ValueError(
-                f"reduction={kind!r} cannot be combined with workers={workers}: "
-                "sleep sets prune against the full sibling set, which a "
-                "prefix-sharded or work-stealing search cannot see across "
-                "workers; use reduction='dpor' for a parallel reduced search"
-            )
-        pipeline = pipeline_factory() if pipeline_factory is not None else None
-        if kind == "sleepset":
-            if preemption_bound is not None:
-                raise ValueError(
-                    "reduction='sleepset' cannot be combined with a "
-                    "preemption bound: sleep sets assume every sibling "
-                    "branch is explorable, which the bound violates"
-                )
-            from repro.sim.reduction import SleepSetExplorer
-
-            return SleepSetExplorer(
-                program,
-                max_schedules=max_schedules,
-                max_steps=max_steps,
-                keep_matches=keep_matches,
-                memoize=memoize,
-                pipeline=pipeline,
-                targets=targets,
-            )
+    if kind == "dpor":
         from repro.sim.dpor import DPORExplorer
 
         return DPORExplorer(
@@ -976,20 +855,6 @@ def make_explorer(
             pipeline=pipeline,
             targets=targets,
         )
-    if workers is not None and workers > 1:
-        from repro.sim.parallel import ParallelExplorer
-
-        return ParallelExplorer(
-            program,
-            workers=workers,
-            max_schedules=max_schedules,
-            max_steps=max_steps,
-            preemption_bound=preemption_bound,
-            keep_matches=keep_matches,
-            memoize=memoize,
-            pipeline_factory=pipeline_factory,
-            targets=targets,
-        )
     return Explorer(
         program,
         max_schedules=max_schedules,
@@ -997,19 +862,9 @@ def make_explorer(
         preemption_bound=preemption_bound,
         keep_matches=keep_matches,
         memoize=memoize,
-        pipeline=pipeline_factory() if pipeline_factory is not None else None,
+        pipeline=pipeline,
         targets=targets,
     )
-
-
-def _make_explorer(*args, **kwargs):
-    """Deprecated alias of :func:`make_explorer` (was private API)."""
-    warnings.warn(
-        "_make_explorer is deprecated; use repro.sim.explorer.make_explorer",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return make_explorer(*args, **kwargs)
 
 
 def find_schedule(
@@ -1018,14 +873,13 @@ def find_schedule(
     max_schedules: int = 20000,
     max_steps: int = 5000,
     preemption_bound: Optional[int] = None,
-    workers: Optional[int] = None,
+    *,
     memoize: bool = False,
     targets: Optional[Sequence[Any]] = None,
     reduction: Optional[str] = None,
 ) -> Optional[RunResult]:
     """First run satisfying ``predicate`` (default: any failure), or ``None``.
 
-    ``workers > 1`` shards the search across a process pool;
     ``memoize=True`` prunes revisited states (sound for predicates over
     terminal state only — see :mod:`repro.sim.statecache`);
     ``targets`` biases the visit order toward predicted access pairs
@@ -1035,15 +889,15 @@ def find_schedule(
     equivalent up to swapping independent operations).
     """
     explorer = make_explorer(
-        program, max_schedules, max_steps, preemption_bound, workers, memoize,
-        keep_matches=1, targets=targets, reduction=reduction,
+        program, max_schedules, max_steps, preemption_bound,
+        memoize=memoize, keep_matches=1, targets=targets, reduction=reduction,
     )
     start = perf_counter()
     result = explorer.explore(predicate=predicate, stop_on_first=True)
     _emit_exploration_runlog(
         "find_schedule", result, max_schedules, max_steps, preemption_bound,
-        workers, memoize, perf_counter() - start, directed=bool(targets),
-        reduction=reduction,
+        memoize=memoize, wall_seconds=perf_counter() - start,
+        directed=bool(targets), reduction=reduction,
     )
     return result.matching[0] if result.matching else None
 
@@ -1054,7 +908,7 @@ def enumerate_outcomes(
     max_steps: int = 5000,
     preemption_bound: Optional[int] = None,
     require_complete: bool = False,
-    workers: Optional[int] = None,
+    *,
     memoize: bool = False,
     reduction: Optional[str] = None,
 ) -> ExplorationResult:
@@ -1062,22 +916,21 @@ def enumerate_outcomes(
 
     With ``memoize=True`` the outcome *set* is preserved but per-outcome
     counts are not (pruned subtrees are never run), and cache-hit aborts
-    consume ``max_schedules`` budget alongside completed runs; with
-    ``workers > 1`` and a complete search, counts match the serial
-    search exactly.  ``reduction`` preserves the outcome set while
-    skipping interleavings that only permute independent operations
-    (per-outcome counts shrink accordingly).
+    consume ``max_schedules`` budget alongside completed runs.
+    ``reduction`` preserves the outcome set while skipping interleavings
+    that only permute independent operations (per-outcome counts shrink
+    accordingly).
     """
     explorer = make_explorer(
-        program, max_schedules, max_steps, preemption_bound, workers, memoize,
-        reduction=reduction,
+        program, max_schedules, max_steps, preemption_bound,
+        memoize=memoize, reduction=reduction,
     )
     start = perf_counter()
     result = explorer.explore(predicate=lambda run: False)
     _emit_exploration_runlog(
         "enumerate_outcomes", result, max_schedules, max_steps,
-        preemption_bound, workers, memoize, perf_counter() - start,
-        reduction=reduction,
+        preemption_bound, memoize=memoize,
+        wall_seconds=perf_counter() - start, reduction=reduction,
     )
     if require_complete and not result.complete:
         raise ExplorationError(

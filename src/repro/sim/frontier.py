@@ -32,13 +32,11 @@ What is *refused*, each with a :class:`ValueError` the tests assert:
 
 * a streaming detector pipeline (snapshots hold live analysis state
   that must not cross a serialization boundary);
-* DPOR (:mod:`repro.sim.dpor`, :mod:`repro.sim.dpor_parallel`) — its
-  backtrack sets are discovered *behind* the DFS position, so a
-  truncated pending stack under-approximates the remaining work; the
-  service falls back to restart-with-doubled-budget instead
-  (``docs/allocator.md`` documents the trade);
-* parallel explorers (``workers > 1``) — the in-flight worker stacks
-  are not serially meaningful mid-round.
+* DPOR (:mod:`repro.sim.dpor`) — its backtrack sets are discovered
+  *behind* the DFS position, so a truncated pending stack
+  under-approximates the remaining work; the service falls back to
+  restart-with-doubled-budget instead (``docs/allocator.md`` documents
+  the trade).
 
 Randomized strategies (random / PCT sampling in the estimator and the
 allocator) do not need a frontier at all: they resume by **seed
@@ -55,7 +53,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.sim.engine import RunResult
 from repro.sim.statecache import StateCache
 
-__all__ = ["ExplorationFrontier", "SLICEABLE_EXPLORERS", "reject_slicing"]
+__all__ = ["ExplorationFrontier", "SLICEABLE_EXPLORERS"]
 
 #: Explorer kinds that support frontier checkpointing (the ``explorer``
 #: tag stored in every frontier; everything else refuses with ValueError).
@@ -148,8 +146,7 @@ class ExplorationFrontier:
 
         Everything inside is plain data: prefixes are thread-name lists,
         fingerprints are nested tuples of atoms, and the retained
-        ``matching`` runs already cross fork boundaries in the parallel
-        explorer.
+        ``matching`` runs are plain run results.
         """
         return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -171,16 +168,3 @@ class ExplorationFrontier:
             f"{self.schedules_run} schedules run"
         )
 
-
-def reject_slicing(explorer_label: str, reason: str, slice_budget, frontier):
-    """Shared refusal for explorers that cannot checkpoint.
-
-    Called at the top of every non-sliceable ``explore()`` so the
-    refusal is an explicit, tested contract rather than a silently
-    ignored keyword.
-    """
-    if slice_budget is not None or frontier is not None:
-        raise ValueError(
-            f"{explorer_label} does not support sliced resumable "
-            f"exploration: {reason}"
-        )

@@ -12,7 +12,7 @@ Two models are provided:
 
 * :class:`SCMemory` — sequential consistency, the default everywhere.  A
   write becomes globally visible the moment it executes; this is exactly
-  the historical ``SharedMemory`` behaviour (which remains as an alias).
+  the memory layer's behaviour from before the model became pluggable.
 * :class:`TSOMemory` — total store order, the x86 memory model.  Each
   thread's writes enter a private FIFO *store buffer*; the writing thread
   forwards its own newest buffered value on read, but other threads keep
@@ -42,7 +42,6 @@ __all__ = [
     "FLUSH_PREFIX",
     "MemoryModel",
     "SCMemory",
-    "SharedMemory",
     "TSOMemory",
     "flush_label",
     "make_memory_model",
@@ -213,11 +212,6 @@ class SCMemory(MemoryModel):
     """
 
     model = "sc"
-
-
-#: Backwards-compatible alias: ``SharedMemory`` was the memory layer's
-#: only class before the model became pluggable.
-SharedMemory = SCMemory
 
 
 class TSOMemory(MemoryModel):

@@ -25,10 +25,9 @@ against plain DFS on randomly generated programs, including crashing
 ones.
 
 Sleep sets remain the one reducer that does **not** compose with a
-preemption bound or with ``workers > 1`` (pruning here presumes every
-sibling branch is explorable and every reversal serially visible);
-:mod:`repro.sim.dpor` composes with both and supersedes this explorer
-wherever those accelerators matter — this module stays as the simplest
+preemption bound (pruning here presumes every sibling branch is
+explorable); :mod:`repro.sim.dpor` composes with it and supersedes this
+explorer wherever the bound matters — this module stays as the simplest
 correct reducer and the differential baseline DPOR is tested against.
 """
 

@@ -6,12 +6,10 @@ or riding along with the explorer (`analyse_online`) — must produce
 byte-for-byte the same findings as the classic per-detector
 ``analyse(trace)`` batch path.  These tests prove that over a generated
 program corpus and over the exploration option matrix
-(memoize x preemption_bound x workers), and pin the efficiency claims:
+(memoize x preemption_bound), and pin the efficiency claims:
 one event dispatch per (event, pipeline) rather than per detector, and
 prefix reuse across sibling schedules.
 """
-
-import warnings
 
 import pytest
 from hypothesis import assume, given, settings
@@ -70,11 +68,10 @@ FIXED_PROGRAMS = [
 ]
 
 OPTION_MATRIX = [
-    {"memoize": False, "preemption_bound": None, "workers": None},
-    {"memoize": True, "preemption_bound": None, "workers": None},
-    {"memoize": False, "preemption_bound": 1, "workers": None},
-    {"memoize": False, "preemption_bound": None, "workers": 2},
-    {"memoize": True, "preemption_bound": 1, "workers": 2},
+    {"memoize": False, "preemption_bound": None},
+    {"memoize": True, "preemption_bound": None},
+    {"memoize": False, "preemption_bound": 1},
+    {"memoize": True, "preemption_bound": 1},
 ]
 
 
@@ -125,23 +122,18 @@ class TestOnlineEqualsBatch:
     """`analyse_online` == batch analysis of every explored trace."""
 
     @pytest.mark.parametrize(
-        "bound,workers",
-        [(None, None), (1, None), (None, 2)],
-        ids=["serial", "bounded", "parallel"],
+        "bound", [None, 1], ids=["serial", "bounded"],
     )
     @pytest.mark.parametrize(
         "program", FIXED_PROGRAMS, ids=lambda p: p.name
     )
-    def test_fixed_programs(self, program, bound, workers):
-        traces, _ = collect_traces(
-            program, preemption_bound=bound, workers=workers
-        )
+    def test_fixed_programs(self, program, bound):
+        traces, _ = collect_traces(program, preemption_bound=bound)
         batch = DetectorSuite.for_program(program).analyse_many(traces)
         online = DetectorSuite.for_program(program).analyse_online(
             program,
             max_schedules=BUDGET,
             preemption_bound=bound,
-            workers=workers,
         )
         assert report_keys(online) == report_keys(batch)
         assert online.exploration is not None
@@ -271,13 +263,6 @@ class TestPublicSurface:
         assert isinstance(
             make_explorer(helpers.racy_counter(), max_schedules=10), Explorer
         )
-
-    def test_legacy_underscore_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="make_explorer"):
-            explorer = explorer_mod._make_explorer(
-                helpers.racy_counter(), max_schedules=10
-            )
-        assert isinstance(explorer, Explorer)
 
     def test_trace_events_returns_tuple(self):
         trace = run_program(

@@ -8,12 +8,10 @@ grammar of straight-line threads (reads / read-increment-writes over a
 two-variable alphabet, optionally lock-wrapped, optionally crashing)
 plus hypothesis strategies over it.  Every corpus program terminates and
 is exhaustively explorable, which is what the differential tests
-(plain DFS vs sleep sets vs memoization vs parallel sharding) need.
+(plain DFS vs sleep sets vs DPOR vs memoization) need.
 """
 
 from __future__ import annotations
-
-import os
 
 from hypothesis import strategies as st
 
@@ -37,20 +35,6 @@ from repro.sim import (
     Write,
     Yield,
 )
-
-
-def worker_counts(default=(1, 2, 4)):
-    """Worker counts the parallel-path tests iterate over.
-
-    The CI matrix narrows this via ``REPRO_TEST_WORKERS`` (a
-    comma-separated list) so the same tests run once under the
-    single-worker serial path and once under a real 4-worker pool —
-    parallel regressions can't hide behind the single-CPU fallback.
-    """
-    env = os.environ.get("REPRO_TEST_WORKERS")
-    if env:
-        return tuple(int(token) for token in env.split(","))
-    return tuple(default)
 
 
 def racy_counter(threads: int = 2) -> Program:

@@ -172,50 +172,3 @@ class TestEstimator:
         from repro.manifest import ManifestationEstimate
 
         assert ManifestationEstimate("x", 0, 0).rate == 0.0
-
-
-class TestSeedRanges:
-    """Edge cases of the estimator's seed-range sharding."""
-
-    def test_runs_less_than_shards_skips_empty_ranges(self):
-        from repro.manifest.estimator import _seed_ranges
-
-        ranges = _seed_ranges(3, 8)
-        assert ranges == [(0, 1), (1, 2), (2, 3)]
-
-    def test_zero_runs_yields_no_ranges(self):
-        from repro.manifest.estimator import _seed_ranges
-
-        assert _seed_ranges(0, 4) == []
-
-    def test_single_shard_is_the_whole_range(self):
-        from repro.manifest.estimator import _seed_ranges
-
-        assert _seed_ranges(10, 1) == [(0, 10)]
-
-    @pytest.mark.parametrize(
-        "runs,shards", [(1, 1), (7, 3), (8, 3), (9, 3), (100, 7), (5, 5)]
-    )
-    def test_partition_covers_every_seed_exactly_once(self, runs, shards):
-        from repro.manifest.estimator import _seed_ranges
-
-        ranges = _seed_ranges(runs, shards)
-        seeds = [s for lo, hi in ranges for s in range(lo, hi)]
-        assert seeds == list(range(runs))  # contiguous, disjoint, complete
-        assert all(hi > lo for lo, hi in ranges)  # no empty shards
-        # Near-equal: shard sizes differ by at most one.
-        sizes = [hi - lo for lo, hi in ranges]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_sharded_estimate_matches_serial_seed_for_seed(self):
-        kernel = get_kernel("atomicity_single_var")
-        serial = estimate_manifestation(
-            kernel.buggy, kernel.failure,
-            lambda seed: RandomScheduler(seed=seed), runs=40, workers=None,
-        )
-        sharded = estimate_manifestation(
-            kernel.buggy, kernel.failure,
-            lambda seed: RandomScheduler(seed=seed), runs=40, workers=4,
-        )
-        assert sharded.manifested == serial.manifested
-        assert sharded.runs == serial.runs == 40

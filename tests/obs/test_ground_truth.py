@@ -9,12 +9,7 @@ counter at all.
 from repro.detectors import DetectorSuite
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
-from repro.sim import (
-    Explorer,
-    ParallelExplorer,
-    RandomScheduler,
-    run_program,
-)
+from repro.sim import Explorer, RandomScheduler, run_program
 from repro.sim.reduction import SleepSetExplorer
 from tests.helpers import racy_counter
 
@@ -65,46 +60,6 @@ class TestExplorerCounters:
         assert registry.counter("statecache.hits", **labels) == result.cache_hits
         assert registry.gauge("statecache.size", **labels) == result.cache_states
         assert result.cache_states == len(explorer.cache)
-
-    def test_parallel_states_expanded_matches_serial(self, registry):
-        serial = Explorer(racy_counter(), max_schedules=5000).explore()
-        parallel = ParallelExplorer(
-            racy_counter(), workers=2, max_schedules=5000
-        ).explore()
-        assert parallel.complete
-        # Complete searches visit every decision-tree node exactly once,
-        # so the expansion counter is identical however the tree is
-        # sharded.
-        assert parallel.states_expanded == serial.states_expanded
-        assert (
-            registry.counter(
-                "explorer.states_expanded",
-                program="racy-counter", explorer="parallel",
-            )
-            == serial.states_expanded
-        )
-        assert (
-            registry.counter(
-                "parallel.explorations", program="racy-counter"
-            )
-            == 1
-        )
-
-    def test_parallel_shard_balance_sums_to_total(self, registry):
-        result = ParallelExplorer(
-            racy_counter(3), workers=2, max_schedules=20000
-        ).explore()
-        assert result.complete
-        balance = registry.histogram(
-            "parallel.shard_schedules_balance", program="racy-counter"
-        )
-        if result.shards:
-            assert balance.count == result.shards
-            root_runs = result.schedules_run - balance.total
-            assert 0 <= root_runs <= result.schedules_run
-        else:
-            # Tree too small to shard: the root phase did everything.
-            assert balance is None
 
     def test_sleepset_counters(self, registry):
         result = SleepSetExplorer(racy_counter(), max_schedules=5000).explore()

@@ -34,7 +34,6 @@ _options_dicts = st.fixed_dictionaries(
     {},
     optional={
         "reduction": st.sampled_from(["none", "sleepset", "dpor"]),
-        "workers": st.integers(min_value=1, max_value=4),
         "preemption_bound": st.integers(min_value=1, max_value=3),
         "memoize": st.booleans(),
         "max_schedules": st.integers(min_value=1, max_value=5000),
@@ -64,13 +63,12 @@ def test_cache_key_distinct_across_kinds(program, raw):
 @given(program=corpus_programs())
 def test_cache_key_misses_when_options_differ(program):
     """Every verdict-relevant knob separates keys (the ISSUE's property:
-    differing reduction/bound/workers must miss the cache)."""
+    differing reduction/bound/memoize/budget must miss the cache)."""
     base = JobOptions()
     variants = [
         base,
         dataclasses.replace(base, reduction="dpor"),
         dataclasses.replace(base, reduction="sleepset"),
-        dataclasses.replace(base, workers=2),
         dataclasses.replace(base, preemption_bound=2),
         dataclasses.replace(base, memoize=True),
         dataclasses.replace(base, max_schedules=123),
@@ -80,14 +78,10 @@ def test_cache_key_misses_when_options_differ(program):
 
 
 def test_cache_key_normalises_default_spellings():
-    """workers=None and workers=1 are the same configuration; an explicit
-    default budget equals the implied one."""
+    """An explicit default budget equals the implied one."""
     from repro.kernels import get_kernel
 
     kernel = get_kernel("atomicity_lost_update")
-    assert kernel_cache_key(
-        JobKind.DETECT, kernel, JobOptions()
-    ) == kernel_cache_key(JobKind.DETECT, kernel, JobOptions(workers=1))
     assert kernel_cache_key(
         JobKind.DETECT, kernel, JobOptions(max_schedules=20000)
     ) == kernel_cache_key(JobKind.DETECT, kernel, JobOptions())
@@ -112,8 +106,8 @@ def test_kernel_cache_key_fingerprints_what_the_job_runs():
 def test_job_options_reject_garbage():
     with pytest.raises(JobError):
         JobOptions.from_dict({"workerz": 2})
-    with pytest.raises(JobError):
-        JobOptions.from_dict({"workers": 0})
+    with pytest.raises(JobError, match="unknown job option"):
+        JobOptions.from_dict({"workers": 2})
     with pytest.raises(JobError):
         JobOptions.from_dict({"preemption_bound": "two"})
     with pytest.raises(JobError):

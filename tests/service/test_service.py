@@ -98,7 +98,6 @@ def test_differing_options_miss_the_cache(tmp_path):
             for options in (
                 {"reduction": "dpor"},
                 {"preemption_bound": 2},
-                {"workers": 2},
                 {"memoize": True},
                 {"max_schedules": 500},
                 {"memory": "tso"},
@@ -112,6 +111,44 @@ def test_differing_options_miss_the_cache(tmp_path):
             await service.close()
 
     asyncio.run(main())
+
+
+def test_workers_option_is_refused_over_the_wire(tmp_path):
+    """A ``workers`` option, which the service does not have, gets the
+    unknown-option error through the real socket protocol — not a silent
+    serial run — and the same service keeps answering ``status``."""
+    from repro.service.protocol import request_once, serve
+
+    async def main():
+        sock = tmp_path / "svc.sock"
+        service = _service(tmp_path, size=1)
+        serve_task = asyncio.create_task(serve(service, socket_path=sock))
+        for _ in range(500):
+            if sock.exists():
+                break
+            await asyncio.sleep(0.01)
+        refused = await request_once(
+            {
+                "op": "submit",
+                "kind": "detect",
+                "kernel": "atomicity_lost_update",
+                "options": {"workers": 2},
+                "wait": True,
+                "timeout": 60,
+            },
+            socket_path=sock,
+        )
+        status = await request_once({"op": "status"}, socket_path=sock)
+        await request_once({"op": "shutdown"}, socket_path=sock)
+        await asyncio.wait_for(serve_task, timeout=60)
+        return refused, status
+
+    refused, status = asyncio.run(main())
+    assert not refused["ok"]
+    assert "unknown job option(s): workers" in refused["error"]
+    assert status["ok"]
+    assert status["totals"]["submissions"] == 0
+    assert status["jobs"] == []
 
 
 def test_concurrent_identical_submissions_coalesce(tmp_path):

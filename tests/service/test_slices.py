@@ -46,10 +46,6 @@ class TestSliceability:
         assert job_sliceable(JobKind.DETECT, JobOptions(reduction="sleepset"))
         assert not job_sliceable(JobKind.DETECT, JobOptions(reduction="dpor"))
 
-    def test_parallel_search_does_not_slice(self):
-        assert not job_sliceable(JobKind.DETECT, JobOptions(workers=2))
-        assert job_sliceable(JobKind.DETECT, JobOptions(workers=1))
-
     def test_run_slice_refuses_unsliceable_jobs(self):
         with pytest.raises(ValueError, match="not sliceable"):
             run_slice(

@@ -7,12 +7,10 @@ soundly whatever the sibling order.  Given that invariance, the payoff
 is measurable: predicted pairs pull manifesting schedules forward.
 """
 
-import warnings
-
 import pytest
 
 from repro.kernels import all_kernels, get_kernel
-from repro.sim.explorer import Explorer, _make_explorer, make_explorer
+from repro.sim.explorer import Explorer, make_explorer
 from repro.sim.reduction import SleepSetExplorer
 from repro.static import analyse
 from repro.static.pairs import TargetPair, TargetSite
@@ -31,8 +29,7 @@ STRICTLY_FASTER = [
 
 def first_finding_schedules(kernel, targets):
     explorer = make_explorer(
-        kernel.buggy, 20000, 5000, None, None, False,
-        keep_matches=1, targets=targets,
+        kernel.buggy, 20000, 5000, None, keep_matches=1, targets=targets,
     )
     result = explorer.explore(predicate=kernel.failure, stop_on_first=True)
     assert result.found, kernel.name
@@ -120,24 +117,3 @@ class TestTargetMatching:
         assert site.matches("T1", Write("x", 1, label="w1"))
 
 
-class TestDeprecatedAlias:
-    def test_emits_exactly_one_deprecation_warning(self):
-        program = helpers.racy_counter()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            explorer = _make_explorer(program, 100, 5000, None, None, False)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "make_explorer" in str(deprecations[0].message)
-
-    def test_returns_the_same_object_make_explorer_builds(self):
-        program = helpers.racy_counter()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            aliased = _make_explorer(program, 100, 5000, None, None, False)
-        direct = make_explorer(program, 100, 5000, None, None, False)
-        assert type(aliased) is type(direct)
-        assert aliased.program is direct.program
-        assert aliased.max_schedules == direct.max_schedules

@@ -10,15 +10,13 @@ is the cost-proportional metric, because a pruned sleep-set run still
 executes its shared prefix.
 
 The matrix dimensions the seed harness covers for the other explorers
-(memoize, preemption bound, workers) all compose with DPOR now:
-``memoize`` prunes revisited states as truncated runs,
-``preemption_bound`` switches to bounded DPOR (conservative backtrack
-points at context-switch boundaries, sleep sets off), and ``workers>1``
-routes through the speculative parallel coordinator.  The full
-``reduction × bound × workers`` matrix is differential-tested here
-against the plain DFS exploring the same (sub)space; the remaining
-``ValueError`` cells are sleep-set-specific (sleepset × bound,
-sleepset × workers) and stay asserted as such.
+(memoize, preemption bound) both compose with DPOR: ``memoize`` prunes
+revisited states as truncated runs, and ``preemption_bound`` switches to
+bounded DPOR (conservative backtrack points at context-switch
+boundaries, sleep sets off).  The full ``reduction × bound`` matrix is
+differential-tested here against the plain DFS exploring the same
+(sub)space; the remaining ``ValueError`` cell is sleep-set-specific
+(sleepset × bound) and stays asserted as such.
 """
 
 from __future__ import annotations
@@ -32,14 +30,13 @@ from repro.sim.dpor import DPORExplorer
 from repro.sim.explorer import enumerate_outcomes, find_schedule, make_explorer
 from repro.sim.reduction import SleepSetExplorer
 from tests import helpers
-from tests.helpers import corpus_programs, worker_counts
+from tests.helpers import corpus_programs
 
 BUDGET = 60000
 
-#: The composition matrix (satellite of PR 6): preemption bounds and
-#: worker counts every reduction is differentially tested under.
+#: The composition matrix: preemption bounds every reduction is
+#: differentially tested under.
 BOUNDS = (None, 1, 2)
-WORKERS = worker_counts()
 
 
 def _launched(explorer, result):
@@ -175,15 +172,12 @@ class TestOnKnownPrograms:
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(corpus_programs())
 def test_full_matrix_agrees_with_plain_dfs(program):
-    """reduction × bound × workers, every cell vs the same-bound DFS.
+    """reduction × bound, every cell vs the same-bound DFS.
 
     The trusted baseline for a bounded cell is the plain DFS under the
     same bound (both explore exactly the ≤-bound subtree); for
     unbounded cells it is the exhaustive DFS.  Sleep sets only exist in
-    the serial unbounded cell.  ``workers>1`` cells go through
-    ``make_explorer`` so the parallel coordinator's merge is what's
-    under test (in-process on one CPU, forked on CI's multi-core
-    matrix job).
+    the unbounded cell.
     """
     baselines = {}
     for bound in BOUNDS:
@@ -197,23 +191,22 @@ def test_full_matrix_agrees_with_plain_dfs(program):
     assert set(sleep_result.outcomes) == set(baselines[None].outcomes)
     for bound in BOUNDS:
         dfs = baselines[bound]
-        for workers in WORKERS:
-            explorer = make_explorer(
-                program, workers=workers, reduction="dpor",
-                preemption_bound=bound, max_schedules=BUDGET,
+        explorer = make_explorer(
+            program, reduction="dpor",
+            preemption_bound=bound, max_schedules=BUDGET,
+        )
+        reduced = explorer.explore()
+        cell = f"bound={bound}"
+        assert set(reduced.outcomes) == set(dfs.outcomes), cell
+        assert reduced.found == dfs.found, cell
+        assert set(reduced.statuses) == set(dfs.statuses), cell
+        assert reduced.schedules_run <= dfs.schedules_run, cell
+        if bound is None:
+            # The launched-runs economy only binds where sleep sets
+            # are comparable: unbounded.
+            assert _launched(explorer, reduced) <= _launched(
+                sleep, sleep_result
             )
-            reduced = explorer.explore()
-            cell = f"bound={bound} workers={workers}"
-            assert set(reduced.outcomes) == set(dfs.outcomes), cell
-            assert reduced.found == dfs.found, cell
-            assert set(reduced.statuses) == set(dfs.statuses), cell
-            assert reduced.schedules_run <= dfs.schedules_run, cell
-            if bound is None and workers == 1:
-                # The launched-runs economy only binds where sleep sets
-                # are comparable: serial, unbounded.
-                assert _launched(explorer, reduced) <= _launched(
-                    sleep, sleep_result
-                )
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
@@ -263,21 +256,6 @@ class TestDirectedComposition:
             ).explore(predicate=kernel.failure)
             assert set(directed.outcomes) == set(plain.outcomes), bound
             assert directed.found == plain.found, bound
-
-    def test_targets_compose_with_parallel_dpor(self):
-        kernel = next(
-            k for k in all_kernels() if k.name == "multivar_torn_invariant"
-        )
-        plain = DPORExplorer(kernel.buggy, max_schedules=BUDGET).explore(
-            predicate=kernel.failure
-        )
-        for workers in worker_counts(default=(2,)):
-            directed = make_explorer(
-                kernel.buggy, targets=kernel.static_targets(),
-                reduction="dpor", workers=workers,
-            ).explore(predicate=kernel.failure)
-            assert set(directed.outcomes) == set(plain.outcomes), workers
-            assert directed.found == plain.found, workers
 
 
 class TestComposedAccelerators:
@@ -336,19 +314,12 @@ class TestComposedAccelerators:
         ).explore(predicate=kernel.failure)
         assert bounded.schedules_run < dfs.schedules_run
 
-    def test_make_explorer_routes_dpor_workers_to_parallel(self):
-        from repro.sim.dpor_parallel import ParallelDPORExplorer
-
-        explorer = make_explorer(
-            helpers.racy_counter(), workers=2, reduction="dpor"
-        )
-        assert isinstance(explorer, ParallelDPORExplorer)
-
-    def test_make_explorer_sleepset_still_rejects_workers(self):
-        with pytest.raises(ValueError, match="workers"):
-            make_explorer(
-                helpers.racy_counter(), workers=2, reduction="sleepset"
-            )
+    def test_make_explorer_options_after_the_bound_are_keyword_only(self):
+        # Everything after ``preemption_bound`` is keyword-only, so a
+        # six-argument positional call fails loudly instead of binding
+        # its fifth argument to ``memoize``.
+        with pytest.raises(TypeError):
+            make_explorer(helpers.racy_counter(), 100, 5000, None, None, False)
 
     def test_make_explorer_rejects_unknown_reduction(self):
         with pytest.raises(ValueError, match="reduction"):

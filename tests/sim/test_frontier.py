@@ -23,13 +23,11 @@ from repro.sim import (
     DPORExplorer,
     ExplorationFrontier,
     Explorer,
-    ParallelExplorer,
     SleepSetExplorer,
 )
-from repro.sim.dpor_parallel import ParallelDPORExplorer
 from repro.sim.frontier import SLICEABLE_EXPLORERS
 from tests import helpers
-from tests.helpers import corpus_programs, worker_counts
+from tests.helpers import corpus_programs
 
 SLICEABLE_CLASSES = {"dfs": Explorer, "sleepset": SleepSetExplorer}
 
@@ -159,15 +157,6 @@ class TestSlicedEqualsUnsliced:
         assert sliced.schedules_run == whole.schedules_run == 10
         assert not sliced.complete
 
-    @pytest.mark.parametrize("workers", worker_counts())
-    def test_sliced_serial_matches_parallel_whole(self, workers):
-        """The sliced serial search and a parallel run agree on outcomes."""
-        program = helpers.racy_counter(threads=3)
-        sliced, _ = explore_sliced(lambda: Explorer(program), 5)
-        parallel = ParallelExplorer(program, workers=workers).explore()
-        assert sliced.outcomes == parallel.outcomes
-        assert sliced.statuses == parallel.statuses
-
 
 class TestFrontierObject:
     def _paused(self, memoize=False):
@@ -231,16 +220,6 @@ class TestRefusals:
         )
         with pytest.raises(ValueError, match="sliced resumable"):
             explorer.explore(frontier=paused.frontier)
-
-    def test_parallel_dpor_refuses(self):
-        explorer = ParallelDPORExplorer(helpers.racy_counter(), workers=2)
-        with pytest.raises(ValueError, match="sliced resumable"):
-            explorer.explore(slice_budget=5)
-
-    def test_parallel_explorer_refuses(self):
-        explorer = ParallelExplorer(helpers.racy_counter(), workers=2)
-        with pytest.raises(ValueError, match="sliced resumable"):
-            explorer.explore(slice_budget=5)
 
     def test_pipeline_refuses(self):
         from repro.detectors.pipeline import DetectorPipeline

@@ -24,7 +24,6 @@ from repro.sim.explorer import make_explorer
 from repro.sim.memory import (
     FLUSH_PREFIX,
     SCMemory,
-    SharedMemory,
     TSOMemory,
     flush_label,
     make_memory_model,
@@ -80,12 +79,11 @@ class TestTSOMemoryUnit:
         with pytest.raises(ProgramError):
             mem.peek("T0")
 
-    def test_sc_has_no_buffers_and_keeps_alias(self):
+    def test_sc_has_no_buffers(self):
         mem = SCMemory({"x": 0})
         mem.write("x", 1, thread="T0")
         assert mem.read("x", thread="T1") == 1  # immediately visible
         assert mem.buffers() == {} and mem.flushable() == ()
-        assert SharedMemory is SCMemory  # the historical name still works
 
     def test_registry_dispatch_and_unknown_model(self):
         assert isinstance(make_memory_model("sc", {}), SCMemory)

@@ -36,13 +36,10 @@ from repro.detectors import DetectorSuite
 from repro.errors import ExplorationError
 from repro.kernels import all_kernels
 from repro.sim import Join, Program, Read, Write, Yield
-from repro.sim import parallel
 from repro.sim.dpor import DPORExplorer
 from repro.sim.engine import RunStatus
-from repro.sim.dpor_parallel import ParallelDPORExplorer
 from repro.sim.explorer import Explorer
 from repro.sim.generate import generate_program
-from repro.sim.parallel import ParallelExplorer
 from repro.sim.reduction import SleepSetExplorer
 from repro.sim.replay import replay
 from repro.static import analyse
@@ -222,23 +219,6 @@ def test_replayed_searches_match_the_per_step_loop(name, config, pinned):
         assert run.memory == reference.memory
 
 
-@pytest.mark.parametrize("parallel_class", [ParallelExplorer, ParallelDPORExplorer])
-@pytest.mark.parametrize(
-    "name", ["multivar_torn_invariant/buggy", "weakmem_store_buffer/buggy"]
-)
-def test_parallel_runs_match_the_per_step_loop(parallel_class, name):
-    # Worker items replay with emission; runs a worker (or the DPOR
-    # coordinator) branches off its own runs adopt their traces.
-    program = PROGRAMS[name]
-    result = parallel_class(
-        program, workers=2, pool="fork", keep_matches=KEEP
-    ).explore(predicate=_match_all)
-    assert result.complete and result.matching
-    for run in result.matching:
-        reference = replay(program, run.schedule, max_steps=MAX_STEPS)
-        assert list(run.trace) == list(reference.trace), run.schedule
-
-
 def _spin_program() -> Program:
     """S spins on a flag T sets; short step budgets truncate many runs."""
 
@@ -300,23 +280,6 @@ def test_checkpoints_carry_no_traces(explorer_class):
     blob = paused.frontier.to_bytes()
     assert b"repro.sim.trace" not in blob
     assert b"repro.sim.events" not in blob
-
-
-def test_parallel_items_carry_no_traces(monkeypatch):
-    program = PROGRAMS["multivar_torn_invariant/buggy"]
-    seeds = []
-    explore_shard = parallel._explore_shard
-
-    def spy(seed):
-        seeds.append(seed)
-        return explore_shard(seed)
-
-    monkeypatch.setattr(parallel, "_explore_shard", spy)
-    merged = ParallelExplorer(program, workers=2, pool="none").explore()
-    serial = Explorer(program).explore()
-    assert seeds and all(seed[3] is None for seed in seeds)
-    assert merged.outcomes == serial.outcomes
-    assert merged.states_expanded == serial.states_expanded
 
 
 # -- divergence ----------------------------------------------------------------

@@ -47,7 +47,7 @@ def _outcome_digest(outcomes) -> str:
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
-def _measure(program, config, workers=None) -> dict:
+def _measure(program, config) -> dict:
     explorer = make_explorer(
         program,
         max_schedules=20000,
@@ -55,7 +55,6 @@ def _measure(program, config, workers=None) -> dict:
         preemption_bound=config.get("preemption_bound"),
         memoize=config.get("memoize", False),
         reduction=config.get("reduction"),
-        workers=workers,
     )
     result = explorer.explore(predicate=lambda run: False)
     row = {
@@ -97,15 +96,3 @@ def test_sc_exploration_matches_pre_refactor_baseline(name):
             f"pre-refactor baseline"
         )
 
-
-@pytest.mark.parametrize("config_name", ["dfs", "dpor"])
-def test_parallel_sc_exploration_matches_baseline(config_name):
-    # Parallel merges are bit-identical to serial by construction; one
-    # kernel per config keeps the fork-pool cost bounded.
-    kernel = SC_KERNELS["atomicity_single_var"]
-    golden = DATA["kernels"]["atomicity_single_var"][config_name]
-    measured = _measure(kernel.buggy, CONFIGS[config_name], workers=2)
-    assert measured["outcome_digest"] == golden["outcome_digest"]
-    assert measured["statuses"] == golden["statuses"]
-    assert measured["complete"] == golden["complete"]
-    assert measured["schedules_run"] == golden["schedules_run"]

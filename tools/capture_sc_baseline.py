@@ -31,10 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.sim.explorer import make_explorer  # noqa: E402
 
-#: The config matrix the invariance guard pins.  workers>1 is exercised
-#: at test time by comparing against the in-test serial run (parallel
-#: merges are bit-identical by construction), so the golden file only
-#: needs serial rows.
+#: The config matrix the invariance guard pins.
 CONFIGS = [
     {"name": "dfs", "reduction": None},
     {"name": "dfs-bound2", "reduction": None, "preemption_bound": 2},

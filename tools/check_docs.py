@@ -11,7 +11,7 @@ Three checks, all against the working tree:
    (``src/repro/static/``) must additionally be mentioned in
    ``docs/static.md``, the subsystem's own page, and the search-layer
    modules of the simulator (``explorer`` / ``reduction`` / ``dpor`` /
-   ``parallel`` / ``statecache`` / ``memory``) in ``docs/simulator.md`` — by
+   ``statecache`` / ``memory`` / ``frontier``) in ``docs/simulator.md`` — by
    filename or dotted ``sim.<module>`` path — and the service modules
    (``src/repro/service/``) in ``docs/service.md``, the service
    handbook.
@@ -44,8 +44,7 @@ ALLOC_DOC = DOCS / "allocator.md"
 #: modules (the remaining substrate modules — engine, sync, ops, ... —
 #: are covered by the architecture tour).
 SIM_SEARCH_MODULES = (
-    "explorer", "reduction", "dpor", "dpor_parallel", "parallel",
-    "statecache", "memory", "frontier",
+    "explorer", "reduction", "dpor", "statecache", "memory", "frontier",
 )
 
 #: The real-code pipeline is the static subsystem's outward-facing
