@@ -12,8 +12,8 @@ classes flag it?  Expected shape (the paper's argument):
 * deadlocks are invisible to all of the above and owned by the
   lock-order analysis.
 
-Also benches the streaming detector pipeline against the classic
-per-detector batch: identical findings, one shared event pass.
+Also benches the online streamed pipeline against explore-then-analyse:
+identical findings, shared schedule prefixes analysed once.
 """
 
 import time
@@ -69,10 +69,11 @@ def test_streaming_vs_batch_suite(benchmark):
     Both paths analyse every explored schedule of the torn-invariant
     kernel (the largest state space in the kernel set).  The batch path
     explores first, retains every trace, then runs the five-detector
-    battery over them; the online path streams one shared pipeline along
-    the exploration, restoring snapshotted analysis state at branch
-    points so shared schedule prefixes are analysed once.  Findings must
-    be identical; the prefix reuse is the wall-clock win.
+    battery over them in one shared pipeline pass per trace; the online
+    path streams that pipeline along the exploration, restoring
+    snapshotted analysis state at branch points so shared schedule
+    prefixes are analysed once.  Findings must be identical; the prefix
+    reuse is the wall-clock win.
     """
     kernel = get_kernel("multivar_torn_invariant")
     program = kernel.buggy

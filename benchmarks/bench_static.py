@@ -40,9 +40,9 @@ def collect():
     for kernel in all_kernels():
         report = analyse(kernel.buggy)
         start = perf_counter()
-        comparison = DetectorSuite.for_program(
-            kernel.buggy, streaming=True
-        ).analyse_static(kernel.buggy, predicate=kernel.failure)
+        comparison = DetectorSuite.for_program(kernel.buggy).analyse_static(
+            kernel.buggy, predicate=kernel.failure
+        )
         confirm_wall = perf_counter() - start
         undirected, undirected_wall = _first_finding(kernel, None)
         directed, directed_wall = _first_finding(kernel, report.pairs)

@@ -697,7 +697,7 @@ def _cmd_static(args) -> int:
     payload = []
     all_sound = True
     for kernel in kernels:
-        suite = DetectorSuite.for_program(kernel.buggy, streaming=True)
+        suite = DetectorSuite.for_program(kernel.buggy)
         comparison = suite.analyse_static(
             kernel.buggy, predicate=kernel.failure, reduction=args.reduction,
         )

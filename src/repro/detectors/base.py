@@ -27,7 +27,7 @@ import abc
 import copy
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, FrozenSet, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Any, FrozenSet, List, Tuple
 
 from repro.sim import events as ev
 from repro.sim.trace import Trace
@@ -139,9 +139,8 @@ class Detector(abc.ABC):
     Subclasses implement the observer protocol — :meth:`begin`,
     :meth:`on_event`, :meth:`finish`, :meth:`copy_state` — and declare
     the shared-state components they read in :attr:`requires`.  The
-    batch entry points (:meth:`analyse`, :meth:`analyse_many`) are
-    compatibility shims over a one-detector
-    :class:`~repro.detectors.pipeline.DetectorPipeline`.
+    batch entry point :meth:`analyse` is a compatibility shim over a
+    one-detector :class:`~repro.detectors.pipeline.DetectorPipeline`.
     """
 
     #: Short stable name used in reports and coverage tables.
@@ -174,7 +173,7 @@ class Detector(abc.ABC):
         """
         return copy.deepcopy(local)
 
-    # -- batch compatibility shims -----------------------------------------
+    # -- batch compatibility shim ------------------------------------------
 
     def analyse(self, trace: Trace) -> Report:
         """Analyse one recorded trace (shim over the streaming pipeline)."""
@@ -182,13 +181,4 @@ class Detector(abc.ABC):
 
         pipeline = DetectorPipeline([self])
         pipeline.run_trace(trace)
-        return pipeline.reports[self.name]
-
-    def analyse_many(self, traces: Iterable[Trace]) -> Report:
-        """Analyse several traces and merge the findings (de-duplicated)."""
-        from repro.detectors.pipeline import DetectorPipeline
-
-        pipeline = DetectorPipeline([self])
-        for trace in traces:
-            pipeline.run_trace(trace)
         return pipeline.reports[self.name]

@@ -10,9 +10,9 @@ report and a coverage map.
 
 Two execution modes share one API:
 
-* ``streaming=True`` runs the whole battery through a single shared
-  :class:`~repro.detectors.pipeline.DetectorPipeline` pass per trace —
-  each event is dispatched once, not once per detector.
+* :meth:`DetectorSuite.analyse_many` runs the whole battery through a
+  single shared :class:`~repro.detectors.pipeline.DetectorPipeline` pass
+  per trace — each event is dispatched once, not once per detector.
 * :meth:`DetectorSuite.analyse_online` goes further and analyses *during*
   exploration: the explorer feeds events to the pipeline as the engine
   executes, reusing analysis state along shared schedule prefixes.
@@ -324,27 +324,19 @@ def _record_static_comparison(
 class DetectorSuite:
     """A battery of detectors applied to one or more traces.
 
-    ``streaming=True`` analyses each trace in one shared pipeline pass
-    (one event dispatch feeds every detector) instead of one pass per
-    detector; findings are identical either way.
+    Each trace is analysed in one shared pipeline pass: one event
+    dispatch feeds every detector.
     """
 
-    def __init__(
-        self,
-        detectors: Optional[Iterable[Detector]] = None,
-        streaming: bool = False,
-    ):
+    def __init__(self, detectors: Optional[Iterable[Detector]] = None):
         self.detectors: List[Detector] = (
             list(detectors) if detectors is not None else default_detectors()
         )
-        self.streaming = streaming
 
     @classmethod
-    def for_program(
-        cls, program: Program, streaming: bool = False
-    ) -> "DetectorSuite":
+    def for_program(cls, program: Program) -> "DetectorSuite":
         """Suite with program-aware detectors wired up."""
-        return cls(default_detectors(program), streaming=streaming)
+        return cls(default_detectors(program))
 
     def _pipeline(self) -> DetectorPipeline:
         """A fresh shared pipeline over this suite's detectors."""
@@ -356,16 +348,11 @@ class DetectorSuite:
 
     def analyse_many(self, traces: Iterable[Trace]) -> SuiteResult:
         """Run every detector across several traces, merging findings."""
-        trace_list = list(traces)
-        if self.streaming:
-            pipeline = self._pipeline()
-            for trace in trace_list:
-                pipeline.run_trace(trace)
-            pipeline.record_metrics()
-            return _record_suite(SuiteResult(reports=dict(pipeline.reports)))
-        return _record_suite(SuiteResult(
-            reports={d.name: d.analyse_many(trace_list) for d in self.detectors}
-        ))
+        pipeline = self._pipeline()
+        for trace in traces:
+            pipeline.run_trace(trace)
+        pipeline.record_metrics()
+        return _record_suite(SuiteResult(reports=dict(pipeline.reports)))
 
     def analyse_program(
         self,

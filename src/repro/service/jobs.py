@@ -122,10 +122,17 @@ class JobOptions:
         if unknown:
             raise JobError(f"unknown job option(s): {', '.join(unknown)}")
         for key in ("preemption_bound", "max_schedules"):
-            if raw.get(key) is not None and (
-                not isinstance(raw[key], int) or raw[key] < 1
+            value = raw.get(key)
+            # bool is an int subclass: ``true`` must not pass as 1.
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, int)
+                or value < 1
             ):
                 raise JobError(f"option {key} must be a positive integer")
+        memoize = raw.get("memoize", False)
+        if not isinstance(memoize, bool):
+            # bool("false") is True: only a JSON boolean is accepted.
+            raise JobError("option memoize must be a boolean")
         if raw.get("reduction") is not None:
             from repro.sim.explorer import REDUCTIONS
 
@@ -143,7 +150,7 @@ class JobOptions:
         return cls(
             reduction=raw.get("reduction"),
             preemption_bound=raw.get("preemption_bound"),
-            memoize=bool(raw.get("memoize", False)),
+            memoize=memoize,
             max_schedules=raw.get("max_schedules"),
             memory=raw.get("memory"),
         )

@@ -85,7 +85,6 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ReproError
 from repro.obs import metrics as obs_metrics
 from repro.sim import ops
 from repro.sim.engine import Engine, RunResult, RunStatus
@@ -93,21 +92,19 @@ from repro.sim.memory import FLUSH_PREFIX
 from repro.sim.explorer import (
     ExplorationResult,
     Predicate,
+    _AllAsleep,
     _default_predicate,
-    _DirectedPolicy,
-    _fill_cache_stats,
-    _fill_pipeline,
-    _outcome_key,
     _preemption_cost,
     _previous,
-    _record_exploration,
-    _record_pipeline_stats,
-    _start_pass,
+    _Search,
+    _SearchScheduler,
 )
 from repro.sim.program import Program
 from repro.sim.reduction import Token, op_footprint, ops_dependent
-from repro.sim.scheduler import Scheduler
-from repro.sim.statecache import MemoHit, StateCache, state_fingerprint
+from repro.sim.statecache import MemoHit, StateCache
+# Importable here as the very object the explorer fingerprints with:
+# profilers (perfbench/tracer.py) patch it in each importing module.
+from repro.sim.statecache import state_fingerprint  # noqa: F401
 from repro.sim.thread import ThreadState
 from repro.sim.trace import Trace
 
@@ -179,6 +176,27 @@ def _live_pending(engine: Engine) -> Dict[str, ops.Op]:
     return pending
 
 
+def _terminal_node(engine: Engine) -> Optional["_Node"]:
+    """A node for the transitions still pending when a run ended.
+
+    A run can end with transitions still pending — deadlocked threads,
+    or survivors of a crash.  The engine never asks the scheduler at
+    such a state, so this node stands in for race detection: a blocked
+    acquire still races with the earlier step that blocked it.  It
+    never branches (no enabled threads), so backtrack points land at
+    ancestors only.  ``None`` when nothing is pending.
+    """
+    pending = _live_pending(engine)
+    if not pending:
+        return None
+    cond_locks = engine.program.conditions
+    footprints = {
+        name: op_footprint(op, name, cond_locks)
+        for name, op in pending.items()
+    }
+    return _Node([], footprints, pending, frozenset(), None)
+
+
 def _causal_pasts(
     steps: Sequence[Tuple[str, FrozenSet[Token]]]
 ) -> List[Set[int]]:
@@ -206,10 +224,6 @@ def _causal_pasts(
         pasts.append(past)
         last[thread] = i
     return pasts
-
-
-class _DPORPruned(ReproError):
-    """Raised by the scheduler when every enabled thread is asleep."""
 
 
 class _Node:
@@ -255,74 +269,45 @@ class _Node:
         self.paid = paid
 
 
-class _DPORScheduler(Scheduler):
+class _DPORScheduler(_SearchScheduler):
     """Extend a run past its prefix while recording fresh decisions.
 
-    The engine replays the forced prefix, so every ``choose`` call is a
-    fresh decision.  Identical extension discipline to the sleep-set
-    scheduler: threads asleep at a node are never chosen, sleepers wake
-    when a dependent operation executes, and a node whose enabled
-    threads are all asleep prunes the run.  It records, per decision,
-    the enabled set, every enabled thread's pending op and footprint,
-    the running sleep set, the preemption cost paid so far, and (with a
-    pipeline) a branch-point snapshot.
+    Identical extension discipline to the sleep-set scheduler: threads
+    asleep at a node are never chosen, sleepers wake when a dependent
+    operation executes, and a node whose enabled threads are all asleep
+    prunes the run.  It records, per decision, the enabled set, every
+    live thread's pending op and footprint, the running sleep set, the
+    preemption cost paid so far, and (with a pipeline) a branch-point
+    snapshot.
 
-    ``track_sleep=False`` (bounded mode) keeps the sleep set empty for
-    the whole run; ``cache`` aborts the run with :class:`MemoHit` at an
+    Under a preemption bound the sleep set stays empty for the whole
+    run; a cache aborts the run with :class:`MemoHit` at an
     already-expanded fingerprint — *after* recording the node, so the
     aborted node's pending operations still join race detection.
     """
 
-    def __init__(
-        self,
-        initial_sleep: FrozenSet[str],
-        pipeline: Optional[Any] = None,
-        directed: Optional[_DirectedPolicy] = None,
-        track_sleep: bool = True,
-        preemption_bound: Optional[int] = None,
-        cache: Optional[StateCache] = None,
-    ):
-        self.initial_sleep = initial_sleep if track_sleep else frozenset()
-        self.pipeline = pipeline
-        self.directed = directed
-        self.track_sleep = track_sleep
-        self.preemption_bound = preemption_bound
-        self.cache = cache
-        self.engine: Optional[Engine] = None
-        self.cond_locks: Dict[str, str] = {}
-        self.choices: List[str] = []
-        self.enabled_sets: List[List[str]] = []
+    def __init__(self, search: "DPORExplorer", sleep: FrozenSet[str]):
+        super().__init__(search)
+        self.track_sleep = self.preemption_bound is None
         self.sleep_sets: List[FrozenSet[str]] = []
         self.footprints: List[Dict[str, FrozenSet[Token]]] = []
         self.pending_ops: List[Dict[str, ops.Op]] = []
-        self.node_snapshots: List[Optional[Any]] = []
         self.paid_values: List[int] = []
-        self._sleep: FrozenSet[str] = self.initial_sleep
-        self._fresh_paid = 0
-        self.pruned = False
-        self.memo_hit = False
-
-    def attach(self, engine: Engine) -> None:
-        self.engine = engine
-        self.cond_locks = dict(engine.program.conditions)
-
-    @property
-    def paid(self) -> int:
-        """Preemption cost paid by this run so far (prefix included)."""
-        return self.engine.prefix_preemptions + self._fresh_paid
+        self._sleep = sleep if self.track_sleep else frozenset()
 
     def choose(self, enabled: Sequence[str], step: int) -> str:
         ordered = sorted(enabled)
         engine = self.engine
         last = _previous(engine)
-        paid = self.paid
+        paid = self.preemptions
         # Footprints and pending ops of every *live* thread, not just the
         # enabled ones: race detection must see the next transition of a
         # thread blocked on a lock (its acquire races with the earlier
         # acquire that blocked it — the deadlock-producing reversal).
         pending = _live_pending(engine)
+        cond_locks = engine.program.conditions
         footprints = {
-            name: op_footprint(op, name, self.cond_locks)
+            name: op_footprint(op, name, cond_locks)
             for name, op in pending.items()
         }
         self.enabled_sets.append(ordered)
@@ -343,10 +328,10 @@ class _DPORScheduler(Scheduler):
             )
         if not awake:
             self.pruned = True
-            raise _DPORPruned("all enabled threads are asleep")
+            raise _AllAsleep("all enabled threads are asleep")
         if self.cache is not None:
             fingerprint: Any = (
-                state_fingerprint(engine),
+                self._fingerprint(),
                 ("sleep", tuple(sorted(self._sleep))),
             )
             if self.preemption_bound is not None:
@@ -359,7 +344,6 @@ class _DPORScheduler(Scheduler):
                     ("last", last),
                 )
             if self.cache.seen(fingerprint):
-                self.memo_hit = True
                 raise MemoHit()
         if self.directed is not None:
             keys = self.directed.key_enabled(engine, awake, last)
@@ -385,33 +369,26 @@ class _DPORScheduler(Scheduler):
                 if name in footprints
                 and not ops_dependent(footprints[name], chosen_footprint)
             )
-        self._fresh_paid += _preemption_cost(last, choice, ordered)
+        self._fresh_preemptions += _preemption_cost(last, choice, ordered)
         self.choices.append(choice)
         return choice
 
-    def reset(self) -> None:
-        self.choices = []
-        self.enabled_sets = []
-        self.sleep_sets = []
-        self.footprints = []
-        self.pending_ops = []
-        self.node_snapshots = []
-        self.paid_values = []
-        self._sleep = self.initial_sleep
-        self._fresh_paid = 0
-        self.pruned = False
-        self.memo_hit = False
 
-
-class DPORExplorer:
+class DPORExplorer(_Search):
     """Stateless exploration with dynamic partial-order reduction.
 
     Composes with the accelerators of the plain explorer:
     ``memoize=True`` (memo-aborted runs are handled as truncated runs)
     and ``preemption_bound`` (bounded POR with conservative backtrack
     points at context-switch boundaries).  See the module docstring for
-    the composed semantics.
+    the composed semantics.  It shares the plain explorer's run, tally
+    and close-out; race-directed ``targets`` also bias which backtrack
+    candidate is taken first, and DPOR's coverage is independent of
+    visit order.  An attached pipeline sees only the representative
+    schedules DPOR actually runs.
     """
+
+    kind = "dpor"
 
     def __init__(
         self,
@@ -424,26 +401,11 @@ class DPORExplorer:
         pipeline: Optional[Any] = None,
         targets: Optional[Sequence[Any]] = None,
     ):
-        self.program = program
-        self.max_schedules = max_schedules
-        self.max_steps = max_steps
-        self.keep_matches = keep_matches
-        self.memoize = memoize
-        self.preemption_bound = preemption_bound
-        #: Race-directed visit ordering (see
-        #: :class:`~repro.sim.explorer.Explorer`): biases which awake
-        #: thread extends a run and which backtrack candidate is taken
-        #: first.  DPOR's coverage is independent of visit order, so the
-        #: bias composes freely.
-        self.directed = _DirectedPolicy(targets) if targets else None
-        #: Streaming detector pipeline (duck-typed); findings cover only
-        #: the representative schedules DPOR actually runs.
-        self.pipeline = pipeline
-        #: The state cache of the most recent exploration (``None``
-        #: unless ``memoize=True``).
-        self.cache: Optional[StateCache] = None
-        #: Telemetry of the most recent exploration.
-        self.pruned_runs = 0
+        super().__init__(
+            program, max_schedules, max_steps, keep_matches, memoize,
+            pipeline, targets, preemption_bound=preemption_bound,
+        )
+        #: Race telemetry of the most recent exploration.
         self.races_detected = 0
         self.backtrack_points = 0
         # Search state of the running exploration: the current execution
@@ -452,7 +414,6 @@ class DPORExplorer:
         # own.
         self._path: List[_Node] = []
         self._latest: Optional[Trace] = None
-        self._match: Predicate = _default_predicate
 
     def explore(
         self,
@@ -481,7 +442,7 @@ class DPORExplorer:
                 "instead"
             )
         start = perf_counter()
-        self._match = predicate if predicate is not None else _default_predicate
+        match = predicate if predicate is not None else _default_predicate
         self.pruned_runs = 0
         self.races_detected = 0
         self.backtrack_points = 0
@@ -503,15 +464,22 @@ class DPORExplorer:
                 break
             attempts += 1
             prefix, sleep, snapshot = seed
-            run, scheduler, final_tail = self._run_once(prefix, sleep, snapshot)
+            scheduler = _DPORScheduler(self, sleep)
+            run, engine = self._run(scheduler, prefix, snapshot, self._latest)
+            self._latest = engine.trace
+            # A memo-aborted or pruned run stops at a recorded node, which
+            # _extend_path surfaces as the tail; a finished one may still
+            # have transitions pending.
+            tail = None if run is None else _terminal_node(engine)
             matched = self._absorb(
-                result, run, scheduler, final_tail, len(prefix)
+                result, run, scheduler, tail, len(prefix), match
             )
             if matched and stop_on_first:
                 result.complete = False
                 break
             seed = self._select_next(self._path)
-        self._finish(result, start)
+        self._close(result, perf_counter() - start)
+        self._publish(result)
         return result
 
     def _absorb(
@@ -521,18 +489,20 @@ class DPORExplorer:
         scheduler: _DPORScheduler,
         final_tail: Optional[_Node],
         base: int,
+        match: Predicate,
     ) -> bool:
         """Fold one engine run into the path and the result tallies."""
         path = self._path
         pruned_tail = self._extend_path(path, scheduler)
         result.states_expanded += len(scheduler.choices)
-        result.preemptions_spent += scheduler.paid
+        result.preemptions_spent += scheduler.preemptions
         self._detect_races(
             path, base, pruned_tail if pruned_tail is not None else final_tail
         )
-        matched = False
         if run is None:
-            if scheduler.memo_hit:
+            if scheduler.pruned:
+                self.pruned_runs += 1
+            else:
                 result.cache_hits += 1
                 # A memo-aborted run is truncated: the subtree below the
                 # revisited state was explored from its first visit, but
@@ -540,76 +510,14 @@ class DPORExplorer:
                 # withdraw reduction credit exactly as for a crash.
                 self._handle_truncated(path, scheduler, base)
                 self._truncation_races(path)
-            else:
-                self.pruned_runs += 1
-        else:
-            result.schedules_run += 1
-            result.statuses[run.status] += 1
-            key = _outcome_key(run)
-            result.outcomes[key] = result.outcomes.get(key, 0) + 1
-            if self._match(run):
-                matched = True
-                result.match_count += 1
-                if len(result.matching) < self.keep_matches:
-                    result.matching.append(run)
-                if result.first_match_schedule is None:
-                    result.first_match_schedule = list(run.schedule)
-                    result.schedules_to_first_finding = result.schedules_run
-            if run.status in (RunStatus.CRASH, RunStatus.ABORTED):
-                self._handle_truncated(path, scheduler, base)
-                self._truncation_races(path)
+            return False
+        matched = result.tally(run, match, self.keep_matches)
+        if run.status in (RunStatus.CRASH, RunStatus.ABORTED):
+            self._handle_truncated(path, scheduler, base)
+            self._truncation_races(path)
         return matched
 
     # -- internals ----------------------------------------------------------
-
-    def _run_once(
-        self,
-        prefix: List[str],
-        sleep: FrozenSet[str],
-        snapshot: Optional[Any],
-    ) -> Tuple[Optional[RunResult], _DPORScheduler, Optional["_Node"]]:
-        pipeline = self.pipeline
-        hook, parent = _start_pass(pipeline, snapshot, self._latest)
-        scheduler = _DPORScheduler(
-            sleep,
-            pipeline=pipeline,
-            directed=self.directed,
-            track_sleep=self.preemption_bound is None,
-            preemption_bound=self.preemption_bound,
-            cache=self.cache,
-        )
-        engine = Engine(
-            self.program, scheduler, max_steps=self.max_steps, event_hook=hook,
-            prefix=prefix, prefix_events=parent,
-        )
-        scheduler.attach(engine)
-        try:
-            run = engine.run()
-        except (_DPORPruned, MemoHit):
-            # A MemoHit node was recorded before the abort, so
-            # _extend_path surfaces it as the tail and its pending ops
-            # join race detection; end-of-trace analyses are skipped (as
-            # in the plain explorer).
-            return None, scheduler, None
-        finally:
-            self._latest = engine.trace
-        if pipeline is not None:
-            pipeline.finish_pass()
-        # A run can end with transitions still pending — deadlocked
-        # threads, or survivors of a crash.  The engine never asks the
-        # scheduler at such a state, so synthesize a terminal node for
-        # race detection: a blocked acquire still races with the earlier
-        # step that blocked it.  The node never branches (no enabled
-        # threads), so backtrack points land at ancestors only.
-        tail: Optional[_Node] = None
-        final_pending = _live_pending(engine)
-        if final_pending:
-            footprints = {
-                name: op_footprint(op, name, scheduler.cond_locks)
-                for name, op in final_pending.items()
-            }
-            tail = _Node([], footprints, final_pending, frozenset(), None)
-        return run, scheduler, tail
 
     def _extend_path(
         self, path: List[_Node], scheduler: _DPORScheduler
@@ -952,23 +860,14 @@ class DPORExplorer:
             return prefix, new_sleep, node.snapshot
         return None
 
-    def _finish(self, result: ExplorationResult, start: float) -> None:
-        """Close out one exploration: pipeline copy, wall-clock, metrics."""
-        _fill_pipeline(result, self.pipeline)
-        _fill_cache_stats(result, self.cache)
-        if self.cache is not None:
-            self.cache.record_metrics(program=self.program.name)
-        if result.pipeline_stats is not None:
-            _record_pipeline_stats(result.pipeline_stats, self.program.name)
-        result.wall_seconds = perf_counter() - start
+    def _publish_search_counters(self) -> None:
         labels = {"program": self.program.name}
         obs_metrics.inc(
             "explorer.pruned_runs", self.pruned_runs,
-            explorer="dpor", **labels,
+            explorer=self.kind, **labels,
         )
         obs_metrics.inc("dpor.races_detected", self.races_detected, **labels)
         obs_metrics.inc(
             "dpor.backtrack_points", self.backtrack_points, **labels
         )
         obs_metrics.inc("dpor.pruned_runs", self.pruned_runs, **labels)
-        _record_exploration(result, "dpor")

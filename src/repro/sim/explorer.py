@@ -32,20 +32,28 @@ result records how many attempts were cut short.
 The default extension policy is *non-preemptive* (keep running the current
 thread while it stays enabled), so the very first schedule explored is the
 one a cooperative scheduler would produce.
+
+The reduced explorers (:mod:`repro.sim.reduction`, :mod:`repro.sim.dpor`)
+share this module's search core: one way to execute a schedule
+attempt, one tally of a finished run (:meth:`ExplorationResult.tally`),
+one close-out, and — for plain DFS and sleep sets — one stack-driven
+loop with its slicing.  Each explorer adds only its node policy: its
+scheduler and how it branches.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ExplorationError
+from repro.errors import ExplorationError, ReproError
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs import runlog as obs_runlog
 from repro.sim.engine import Engine, EnabledFilter, RunResult, RunStatus
+from repro.sim.frontier import ExplorationFrontier
 from repro.sim.program import Program
 from repro.sim.scheduler import Scheduler
 from repro.sim.statecache import MemoHit, StateCache, state_fingerprint
@@ -131,33 +139,21 @@ class _DirectedPolicy:
             for name in enabled
         }
 
-#: A DFS stack entry: (schedule prefix, preemptions already paid inside
-#: it, detector-pipeline snapshot taken at the branch point — or ``None``
-#: when no pipeline is attached, trace of the run that pushed it — or
-#: ``None``).  The snapshot lets a sibling run resume analysis from the
-#: shared prefix instead of re-analysing it; the trace lets the engine
-#: adopt the prefix's events instead of rebuilding them.  Traces never
-#: leave the process: checkpoints keep only ``(prefix, paid)``, so
-#: resumed seeds replay with emission.
-Seed = Tuple[List[str], int, Optional[Any], Optional[Trace]]
+#: A stack entry of the depth-first searches: (schedule prefix, the
+#: explorer's mark for the branch — the preemptions already paid inside
+#: the prefix for plain DFS, the sleep set at the branch for sleep sets —,
+#: detector-pipeline snapshot taken at the branch point or ``None`` when
+#: no pipeline is attached, trace of the run that pushed it or ``None``).
+#: The snapshot lets a sibling run resume analysis from the shared prefix
+#: instead of re-analysing it; the trace lets the engine adopt the
+#: prefix's events instead of rebuilding them.  Traces never leave the
+#: process: checkpoints keep only ``(prefix, mark)``, so resumed seeds
+#: replay with emission.
+Seed = Tuple[List[str], Any, Optional[Any], Optional[Trace]]
 
 
-def _start_pass(
-    pipeline: Optional[Any], snapshot: Optional[Any], parent: Optional[Trace]
-) -> Tuple[Optional[Callable[[Any], None]], Optional[Trace]]:
-    """Begin one run's pipeline pass; returns ``(event hook, parent trace)``.
-
-    Resumes analysis from the branch-point snapshot when one was taken,
-    so the replayed prefix is not analysed again; without a snapshot the
-    hook must see every event, so the parent trace is not adopted.
-    """
-    if pipeline is None:
-        return None, parent
-    if snapshot is None:
-        pipeline.begin_pass()
-        return pipeline.feed, None
-    pipeline.restore(snapshot)
-    return pipeline.feed, parent
+class _AllAsleep(ReproError):
+    """Raised by a reducing scheduler when every enabled thread is asleep."""
 
 
 def _previous(engine: Engine) -> Optional[str]:
@@ -166,76 +162,25 @@ def _previous(engine: Engine) -> Optional[str]:
     return schedule[-1] if schedule else None
 
 
-def _result_from_frontier(frontier: Any, program: str) -> ExplorationResult:
-    """Rebuild the cumulative result a paused search had accumulated."""
-    return ExplorationResult(
-        program=program,
-        schedules_run=frontier.schedules_run,
-        complete=True,
-        statuses=Counter(frontier.statuses),
-        outcomes=dict(frontier.outcomes),
-        matching=list(frontier.matching),
-        match_count=frontier.match_count,
-        first_match_schedule=(
-            list(frontier.first_match_schedule)
-            if frontier.first_match_schedule is not None else None
-        ),
-        schedules_to_first_finding=frontier.schedules_to_first_finding,
-        cache_hits=frontier.cache_hits,
-        states_expanded=frontier.states_expanded,
-        preemptions_spent=frontier.preemptions_spent,
-    )
+class _SearchScheduler(Scheduler):
+    """Per-run plumbing shared by the explorers' schedulers.
 
-
-def _dfs_frontier(explorer, result, leftover, cache) -> Any:
-    """Checkpoint a paused plain-DFS search (see :mod:`repro.sim.frontier`)."""
-    from repro.sim.frontier import ExplorationFrontier
-
-    frontier = ExplorationFrontier(
-        explorer="dfs",
-        program=explorer.program.name,
-        memoize=explorer.memoize,
-        pending=[(list(prefix), paid) for prefix, paid, _, _ in leftover],
-        attempts=result.schedules_run + result.cache_hits,
-        schedules_run=result.schedules_run,
-        statuses=Counter(result.statuses),
-        outcomes=dict(result.outcomes),
-        matching=list(result.matching),
-        match_count=result.match_count,
-        first_match_schedule=(
-            list(result.first_match_schedule)
-            if result.first_match_schedule is not None else None
-        ),
-        schedules_to_first_finding=result.schedules_to_first_finding,
-        cache_hits=result.cache_hits,
-        states_expanded=result.states_expanded,
-        preemptions_spent=result.preemptions_spent,
-        wall_seconds=result.wall_seconds,
-        cache_state=cache.export_state() if cache is not None else None,
-    )
-    return frontier
-
-
-class _RecordingScheduler(Scheduler):
-    """Extend a run non-preemptively past its prefix; record enabled sets.
-
-    The engine replays the forced prefix itself, so every ``choose`` call
-    is a fresh decision.  When a :class:`StateCache` is attached, each is
-    fingerprinted first; reaching an already-expanded state raises
-    :class:`MemoHit` to abort the (redundant) run.
+    Each instance drives exactly one run.  The engine replays the forced
+    prefix itself, so every ``choose`` call is a fresh decision; a
+    subclass records, per decision, the sorted enabled set and the choice
+    made, plus the directed sort keys and the pipeline snapshot where
+    they apply.  :meth:`_Search._run` sets ``engine`` right after
+    building the engine.
     """
 
-    def __init__(
-        self,
-        cache: Optional[StateCache] = None,
-        preemption_bound: Optional[int] = None,
-        pipeline: Optional[Any] = None,
-        directed: Optional[_DirectedPolicy] = None,
-    ):
-        self.cache = cache
-        self.preemption_bound = preemption_bound
-        self.pipeline = pipeline
-        self.directed = directed
+    #: Set when the run was cut because every enabled thread was asleep.
+    pruned = False
+
+    def __init__(self, search: "_Search"):
+        self.cache = search.cache
+        self.pipeline = search.pipeline
+        self.directed = search.directed
+        self.preemption_bound = search.preemption_bound
         self.engine: Optional[Engine] = None
         # Per fresh decision: the sorted enabled set and the choice made.
         self.enabled_sets: List[List[str]] = []
@@ -245,22 +190,20 @@ class _RecordingScheduler(Scheduler):
         # enabled_sets.  Stays empty when undirected.
         self.directed_keys: List[Dict[str, Tuple[int, int, str]]] = []
         # Pipeline snapshots per decision (None entries for decisions
-        # with a single enabled thread — no siblings there).
+        # that cannot branch).  Stays empty without a pipeline.
         self.node_snapshots: List[Optional[Any]] = []
         self._fresh_preemptions = 0
         # Hoisted once per run: fingerprinting is the per-decision hot
         # path, so the disabled-profiler cost must stay one None check.
         self._profiler = obs_profile.active()
 
-    def attach(self, engine: Engine) -> None:
-        self.engine = engine
-
     @property
     def preemptions(self) -> int:
         """Preemption cost paid by this run so far (prefix included)."""
         return self.engine.prefix_preemptions + self._fresh_preemptions
 
-    def _fingerprint(self):
+    def _fingerprint(self) -> Any:
+        """The current state's fingerprint, timed as ``explorer.fingerprint``."""
         profiler = self._profiler
         if profiler is None:
             return state_fingerprint(self.engine)
@@ -268,6 +211,15 @@ class _RecordingScheduler(Scheduler):
         fingerprint = state_fingerprint(self.engine)
         profiler.add("explorer.fingerprint", perf_counter() - start)
         return fingerprint
+
+
+class _RecordingScheduler(_SearchScheduler):
+    """Extend a run non-preemptively past its prefix; record enabled sets.
+
+    When a :class:`StateCache` is attached, each decision is fingerprinted
+    first; reaching an already-expanded state raises :class:`MemoHit` to
+    abort the (redundant) run.
+    """
 
     def choose(self, enabled: Sequence[str], step: int) -> str:
         ordered = sorted(enabled)
@@ -308,13 +260,6 @@ class _RecordingScheduler(Scheduler):
         self._fresh_preemptions += _preemption_cost(last, choice, ordered)
         self.choices.append(choice)
         return choice
-
-    def reset(self) -> None:
-        self.enabled_sets = []
-        self.choices = []
-        self.directed_keys = []
-        self.node_snapshots = []
-        self._fresh_preemptions = 0
 
 
 @dataclass
@@ -367,6 +312,27 @@ class ExplorationResult:
         """Whether any run satisfied the search predicate."""
         return self.match_count > 0
 
+    def tally(self, run: RunResult, predicate: Predicate, keep_matches: int) -> bool:
+        """Count one completed run; returns whether it matched ``predicate``.
+
+        A match is kept in ``matching`` while fewer than ``keep_matches``
+        are, and the first one fixes ``first_match_schedule`` and
+        ``schedules_to_first_finding``.
+        """
+        self.schedules_run += 1
+        self.statuses[run.status] += 1
+        outcome = _outcome_key(run)
+        self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
+        if not predicate(run):
+            return False
+        self.match_count += 1
+        if len(self.matching) < keep_matches:
+            self.matching.append(run)
+        if self.first_match_schedule is None:
+            self.first_match_schedule = list(run.schedule)
+            self.schedules_to_first_finding = self.schedules_run
+        return True
+
     def match_rate(self) -> float:
         """Fraction of explored schedules that satisfied the predicate."""
         if not self.schedules_run:
@@ -398,20 +364,38 @@ class ExplorationResult:
         )
 
 
-class Explorer:
-    """Depth-first enumeration of a program's schedules."""
+class _Search:
+    """The search machinery the three explorers share.
+
+    It holds the common configuration, executes one schedule attempt
+    (:meth:`_run`), closes a search out (:meth:`_close` fills the result,
+    :meth:`_publish` publishes its metrics) and, for plain DFS and sleep
+    sets, runs the stack-driven search loop with its slicing
+    (:meth:`explore`).  A stack search supplies its node policy: the
+    per-run scheduler (``_scheduler``), the sibling-push rule
+    (``_push_siblings``), the root stack mark and the checkpoint form of
+    a mark.  :class:`~repro.sim.dpor.DPORExplorer` overrides
+    :meth:`explore` with its path-and-backtrack search.
+    """
+
+    #: Which search this is: the ``explorer`` label of its metrics and
+    #: the tag of its frontiers.
+    kind = ""
+    #: The mark of the root stack entry (see :data:`Seed`).
+    _root_mark: Any = None
 
     def __init__(
         self,
         program: Program,
-        max_schedules: int = 20000,
-        max_steps: int = 5000,
+        max_schedules: int,
+        max_steps: int,
+        keep_matches: int,
+        memoize: bool,
+        pipeline: Optional[Any],
+        targets: Optional[Sequence[Any]],
+        *,
         preemption_bound: Optional[int] = None,
         enabled_filter: Optional[EnabledFilter] = None,
-        keep_matches: int = 16,
-        memoize: bool = False,
-        pipeline: Optional[Any] = None,
-        targets: Optional[Sequence[Any]] = None,
     ):
         if memoize and enabled_filter is not None:
             raise ExplorationError(
@@ -428,24 +412,25 @@ class Explorer:
         self.memoize = memoize
         #: Race-directed exploration: an ordered sequence of target pairs
         #: (e.g. :class:`repro.static.pairs.TargetPair`) biasing both the
-        #: default extension policy and the sibling visit order toward
-        #: schedules that realise the pairs.  Every node is still visited
-        #: at most once — the search tree is identical to the undirected
-        #: one, only its traversal order changes, so completeness and
-        #: outcome sets are unaffected.
-        self.directed = (
-            _DirectedPolicy(targets) if targets else None
-        )
+        #: extension policy and the visit order toward schedules that
+        #: realise the pairs.  Every node is still visited at most once —
+        #: the search tree is identical to the undirected one, only its
+        #: traversal order changes, so completeness and outcome sets are
+        #: unaffected.
+        self.directed = _DirectedPolicy(targets) if targets else None
         #: Streaming detector pipeline observing every executed event
         #: (duck-typed — e.g. :class:`repro.detectors.pipeline.DetectorPipeline`;
-        #: the sim layer never imports detector code).  Shared DFS
-        #: prefixes are analysed once via snapshot/restore.  Combined
-        #: with ``memoize=True``, pruned subtrees are never observed, so
-        #: path-dependent findings below a cache hit can be missed.
+        #: the sim layer never imports detector code).  Shared prefixes
+        #: are analysed once via snapshot/restore.  Combined with
+        #: ``memoize=True`` or a reduction, pruned subtrees are never
+        #: observed, so path-dependent findings below them can be missed.
         self.pipeline = pipeline
         #: The state cache of the most recent exploration (None unless
         #: ``memoize=True``); exposes hit/size statistics.
         self.cache: Optional[StateCache] = None
+        #: Runs of the most recent exploration cut because every enabled
+        #: thread was asleep (always 0 for plain DFS).
+        self.pruned_runs = 0
 
     def explore(
         self,
@@ -453,7 +438,7 @@ class Explorer:
         stop_on_first: bool = False,
         *,
         slice_budget: Optional[int] = None,
-        frontier: Optional[Any] = None,
+        frontier: Optional[ExplorationFrontier] = None,
     ) -> ExplorationResult:
         """Run the search.
 
@@ -469,53 +454,90 @@ class Explorer:
             unsliced result exactly (``docs/simulator.md``).
         :param frontier: resume a previously paused search from its
             checkpoint instead of starting at the root.  The explorer
-            must be configured identically (same program, ``memoize``)
-            or ``ValueError`` is raised.  Incompatible with an attached
-            pipeline (also ``ValueError``).
+            must be of the same kind and configured identically (same
+            program, ``memoize``) or ``ValueError`` is raised.  Slicing
+            is incompatible with an attached pipeline (also
+            ``ValueError``).
         """
         sliced = slice_budget is not None or frontier is not None
         if sliced:
             self._check_sliceable(slice_budget)
         start = perf_counter()
+        match = predicate if predicate is not None else _default_predicate
         if frontier is not None:
-            frontier.check("dfs", self.program.name, self.memoize)
+            frontier.check(self.kind, self.program.name, self.memoize)
+            # Fresh containers: the frontier and the provisional result
+            # that returned it never change when the search goes on.
+            saved = frontier.result
+            result = replace(
+                saved,
+                statuses=Counter(saved.statuses),
+                outcomes=dict(saved.outcomes),
+                matching=list(saved.matching),
+            )
             stack: List[Seed] = [
-                (list(prefix), paid, None, None)
-                for prefix, paid in frontier.pending
+                (list(prefix), self._stack_mark(mark), None, None)
+                for prefix, mark in frontier.pending
             ]
-            result = _result_from_frontier(frontier, self.program.name)
             cache = frontier.restore_cache()
             attempts = frontier.attempts
+            self.pruned_runs = frontier.pruned_runs
         else:
-            stack = [([], 0, None, None)]
             result = ExplorationResult(
                 program=self.program.name, schedules_run=0, complete=True
             )
+            stack = [([], self._root_mark, None, None)]
             cache = StateCache() if self.memoize else None
             attempts = 0
+            self.pruned_runs = 0
+        self.cache = cache
         limit = (
             min(self.max_schedules, attempts + slice_budget)
             if slice_budget is not None
             else None
         )
-        result, leftover = self._search(
-            stack, predicate, stop_on_first,
-            result=result, cache=cache, attempts=attempts, attempt_limit=limit,
-        )
-        result.wall_seconds = (
-            (frontier.wall_seconds if frontier is not None else 0.0)
-            + perf_counter() - start
-        )
-        if sliced and leftover and result.complete:
+        # The stack is LIFO, so a slice that stops at ``limit`` leaves
+        # exactly the serially-next subtrees on it, top first.
+        while stack:
+            if attempts >= self.max_schedules:
+                result.complete = False
+                break
+            if limit is not None and attempts >= limit:
+                break  # slice exhausted; checkpoint the stack below
+            prefix, mark, snapshot, parent = stack.pop()
+            attempts += 1
+            scheduler = self._scheduler(mark)
+            run, _ = self._run(scheduler, prefix, snapshot, parent)
+            result.states_expanded += len(scheduler.choices)
+            result.preemptions_spent += scheduler.preemptions
+            if run is not None:
+                if result.tally(run, match, self.keep_matches) and stop_on_first:
+                    result.complete = False
+                    break
+            elif scheduler.pruned:
+                self.pruned_runs += 1
+            else:
+                result.cache_hits += 1
+            self._push_siblings(stack, scheduler, prefix, mark, run)
+        self._close(result, result.wall_seconds + perf_counter() - start)
+        if sliced and stack and result.complete:
             # Slice exhausted with pending work: checkpoint instead of
-            # finishing.  Metrics are recorded once, on the terminal slice.
-            result.frontier = _dfs_frontier(self, result, leftover, cache)
+            # finishing.  Metrics are published once, on the terminal slice.
+            result.frontier = ExplorationFrontier(
+                explorer=self.kind,
+                program=self.program.name,
+                memoize=self.memoize,
+                result=replace(result),
+                pending=[
+                    (list(prefix), self._saved_mark(mark))
+                    for prefix, mark, _, _ in stack
+                ],
+                attempts=attempts,
+                pruned_runs=self.pruned_runs,
+                cache_state=cache.export_state() if cache is not None else None,
+            )
             return result
-        if self.cache is not None:
-            self.cache.record_metrics(program=self.program.name)
-        if result.pipeline_stats is not None:
-            _record_pipeline_stats(result.pipeline_stats, self.program.name)
-        _record_exploration(result, "dfs")
+        self._publish(result)
         return result
 
     def _check_sliceable(self, slice_budget: Optional[int]) -> None:
@@ -531,96 +553,120 @@ class Explorer:
                 f"{slice_budget}"
             )
 
-    # -- internals -----------------------------------------------------------
+    @staticmethod
+    def _saved_mark(mark: Any) -> Any:
+        """The checkpoint form of a stack entry's mark."""
+        return mark
 
-    def _search(
+    @staticmethod
+    def _stack_mark(saved: Any) -> Any:
+        """A stack entry's mark, back from its checkpoint form."""
+        return saved
+
+    # -- one run and the close-out -------------------------------------------
+
+    def _run(
         self,
-        stack: List[Seed],
-        predicate: Optional[Predicate],
-        stop_on_first: bool,
-        *,
-        result: ExplorationResult,
-        cache: Optional[StateCache],
-        attempts: int,
-        attempt_limit: Optional[int],
-    ) -> Tuple[ExplorationResult, List[Seed]]:
-        """The DFS loop over a seeded stack; returns (result, leftover stack).
-
-        The stack is LIFO, so a slice that stops at ``attempt_limit``
-        leaves exactly the serially-next subtrees on the leftover stack,
-        top first.
-        """
-        match = predicate if predicate is not None else _default_predicate
-        self.cache = cache
-        while stack:
-            if attempts >= self.max_schedules:
-                result.complete = False
-                break
-            if attempt_limit is not None and attempts >= attempt_limit:
-                break  # slice exhausted; the caller checkpoints the stack
-            prefix, paid, snapshot, parent = stack.pop()
-            attempts += 1
-            run, recorder = self._run_once(prefix, cache, snapshot, parent)
-            result.states_expanded += len(recorder.choices)
-            result.preemptions_spent += recorder.preemptions
-            if run is None:
-                result.cache_hits += 1
-            else:
-                result.schedules_run += 1
-                result.statuses[run.status] += 1
-                outcome = _outcome_key(run)
-                result.outcomes[outcome] = result.outcomes.get(outcome, 0) + 1
-                if match(run):
-                    result.match_count += 1
-                    if len(result.matching) < self.keep_matches:
-                        result.matching.append(run)
-                    if result.first_match_schedule is None:
-                        result.first_match_schedule = list(run.schedule)
-                        result.schedules_to_first_finding = result.schedules_run
-                    if stop_on_first:
-                        result.complete = False
-                        _fill_cache_stats(result, cache)
-                        _fill_pipeline(result, self.pipeline)
-                        return result, stack
-            self._push_siblings(stack, recorder, prefix, paid)
-        _fill_cache_stats(result, cache)
-        _fill_pipeline(result, self.pipeline)
-        return result, stack
-
-    def _run_once(
-        self,
+        scheduler: _SearchScheduler,
         prefix: List[str],
-        cache: Optional[StateCache],
-        snapshot: Optional[Any] = None,
-        parent: Optional[Trace] = None,
-    ) -> Tuple[Optional[RunResult], _RecordingScheduler]:
+        snapshot: Optional[Any],
+        parent: Optional[Trace],
+    ) -> Tuple[Optional[RunResult], Engine]:
+        """Execute one schedule attempt: replay ``prefix``, then extend it.
+
+        Returns ``(run, engine)``; ``run`` is ``None`` when the scheduler
+        cut the attempt short at an already-expanded state or a node
+        whose enabled threads are all asleep.  An attached pipeline
+        resumes analysis from the branch-point ``snapshot``, so the
+        replayed prefix is not analysed again; without a snapshot its
+        fresh pass must see every event, so the ``parent`` trace is not
+        adopted.
+        """
         pipeline = self.pipeline
-        hook, parent = _start_pass(pipeline, snapshot, parent)
-        recorder = _RecordingScheduler(
-            cache=cache,
-            preemption_bound=self.preemption_bound,
-            pipeline=pipeline,
-            directed=self.directed,
-        )
+        hook = None
+        if pipeline is not None:
+            hook = pipeline.feed
+            if snapshot is None:
+                pipeline.begin_pass()
+                parent = None
+            else:
+                pipeline.restore(snapshot)
         engine = Engine(
             self.program,
-            recorder,
+            scheduler,
             max_steps=self.max_steps,
             enabled_filter=self.enabled_filter,
             event_hook=hook,
             prefix=prefix,
             prefix_events=parent,
         )
-        recorder.attach(engine)
+        scheduler.engine = engine
         try:
             run = engine.run()
-        except MemoHit:
-            # Events fed before the hit did execute, so the pipeline state
-            # is sound; end-of-trace analyses are skipped for aborted runs.
-            return None, recorder
+        except (MemoHit, _AllAsleep):
+            # Events fed before the stop did execute, so the pipeline
+            # state is sound; end-of-trace analyses are skipped for
+            # aborted runs.
+            return None, engine
         if pipeline is not None:
             pipeline.finish_pass()
-        return run, recorder
+        return run, engine
+
+    def _close(self, result: ExplorationResult, wall_seconds: float) -> None:
+        """Fill a result's cache, pipeline and wall-clock fields."""
+        cache = self.cache
+        if cache is not None:
+            result.cache_lookups = cache.lookups
+            result.cache_states = len(cache)
+        pipeline = self.pipeline
+        if pipeline is not None:
+            result.detector_reports = dict(pipeline.reports)
+            result.pipeline_stats = pipeline.stats.as_dict()
+        result.wall_seconds = wall_seconds
+
+    def _publish(self, result: ExplorationResult) -> None:
+        """Publish a terminal result's metrics, once per search.
+
+        No-op while metrics are disabled.
+        """
+        program = self.program.name
+        if self.cache is not None:
+            self.cache.record_metrics(program=program)
+        if self.pipeline is not None:
+            self.pipeline.record_metrics(program=program)
+        self._publish_search_counters()
+        _record_exploration(result, self.kind)
+
+    def _publish_search_counters(self) -> None:
+        """Publish the counters only this kind of search keeps."""
+
+
+class Explorer(_Search):
+    """Depth-first enumeration of a program's schedules."""
+
+    kind = "dfs"
+    _root_mark = 0
+
+    def __init__(
+        self,
+        program: Program,
+        max_schedules: int = 20000,
+        max_steps: int = 5000,
+        preemption_bound: Optional[int] = None,
+        enabled_filter: Optional[EnabledFilter] = None,
+        keep_matches: int = 16,
+        memoize: bool = False,
+        pipeline: Optional[Any] = None,
+        targets: Optional[Sequence[Any]] = None,
+    ):
+        super().__init__(
+            program, max_schedules, max_steps, keep_matches, memoize,
+            pipeline, targets,
+            preemption_bound=preemption_bound, enabled_filter=enabled_filter,
+        )
+
+    def _scheduler(self, paid: int) -> _RecordingScheduler:
+        return _RecordingScheduler(self)
 
     def _push_siblings(
         self,
@@ -628,6 +674,7 @@ class Explorer:
         recorder: _RecordingScheduler,
         prefix: List[str],
         paid: int,
+        run: Optional[RunResult],
     ) -> None:
         engine = recorder.engine
         schedule = engine.schedule
@@ -664,39 +711,6 @@ class Explorer:
                      engine.trace)
                 )
             preemptions += cost_chosen
-
-
-def _fill_cache_stats(result: ExplorationResult, cache: Optional[StateCache]) -> None:
-    """Copy a search's cache totals into its result."""
-    if cache is not None:
-        result.cache_lookups = cache.lookups
-        result.cache_states = len(cache)
-
-
-def _fill_pipeline(result: ExplorationResult, pipeline: Optional[Any]) -> None:
-    """Copy an attached pipeline's reports and counters into the result."""
-    if pipeline is not None:
-        result.detector_reports = dict(pipeline.reports)
-        result.pipeline_stats = pipeline.stats.as_dict()
-
-
-def _record_pipeline_stats(stats: Dict[str, Any], program: str) -> None:
-    """Publish one exploration's pipeline counters to the metrics registry.
-
-    Mirrors :func:`repro.detectors.pipeline.record_pipeline_metrics` for
-    counter dicts — the sim layer cannot import detector code.  No-op
-    while metrics are disabled.
-    """
-    registry = obs_metrics.active()
-    if registry is None:
-        return
-    for key in (
-        "events_dispatched", "events_reused", "snapshots", "restores", "passes",
-    ):
-        registry.inc(f"pipeline.{key}", stats.get(key, 0), program=program)
-    registry.set_gauge(
-        "pipeline.reuse_ratio", stats.get("reuse_ratio", 0.0), program=program
-    )
 
 
 def _record_exploration(result: ExplorationResult, explorer: str) -> None:
@@ -824,6 +838,14 @@ def make_explorer(
         raise ValueError(
             f"reduction must be one of {', '.join(REDUCTIONS)}; got {reduction!r}"
         )
+    options: Dict[str, Any] = {
+        "max_schedules": max_schedules,
+        "max_steps": max_steps,
+        "keep_matches": keep_matches,
+        "memoize": memoize,
+        "pipeline": pipeline,
+        "targets": targets,
+    }
     if kind == "sleepset":
         if preemption_bound is not None:
             raise ValueError(
@@ -831,40 +853,14 @@ def make_explorer(
                 "preemption bound: sleep sets assume every sibling "
                 "branch is explorable, which the bound violates"
             )
-        from repro.sim.reduction import SleepSetExplorer
-
-        return SleepSetExplorer(
-            program,
-            max_schedules=max_schedules,
-            max_steps=max_steps,
-            keep_matches=keep_matches,
-            memoize=memoize,
-            pipeline=pipeline,
-            targets=targets,
-        )
-    if kind == "dpor":
-        from repro.sim.dpor import DPORExplorer
-
-        return DPORExplorer(
-            program,
-            max_schedules=max_schedules,
-            max_steps=max_steps,
-            keep_matches=keep_matches,
-            memoize=memoize,
-            preemption_bound=preemption_bound,
-            pipeline=pipeline,
-            targets=targets,
-        )
-    return Explorer(
-        program,
-        max_schedules=max_schedules,
-        max_steps=max_steps,
-        preemption_bound=preemption_bound,
-        keep_matches=keep_matches,
-        memoize=memoize,
-        pipeline=pipeline,
-        targets=targets,
-    )
+        from repro.sim.reduction import SleepSetExplorer as explorer_class
+    else:
+        options["preemption_bound"] = preemption_bound
+        if kind == "dpor":
+            from repro.sim.dpor import DPORExplorer as explorer_class
+        else:
+            explorer_class = Explorer
+    return explorer_class(program, **options)
 
 
 def find_schedule(

@@ -2,13 +2,19 @@
 
 A depth-first search over schedules is fully described by its **pending
 stack** — the prefixes (plus per-entry bookkeeping) not yet expanded —
-together with the cumulative tallies already collected and, under
+together with the cumulative result already collected and, under
 ``memoize=True``, the set of state fingerprints already expanded.
 :class:`ExplorationFrontier` captures exactly that, as plain picklable
 data, so an exploration can stop after a *slice* of its schedule budget
 and a later call (in the same process, or a different worker after a
 round-trip through :meth:`ExplorationFrontier.to_bytes`) resumes at the
 precise node the slice stopped on.
+
+The cumulative result travels as the provisional
+:class:`~repro.sim.explorer.ExplorationResult` itself (``result``).  A
+resume copies its containers before counting on, so neither a frontier
+nor the provisional result that returned it changes when the search goes
+on: one frontier may be resumed any number of times.
 
 The invariant the property tests pin (``tests/sim/test_frontier.py``):
 for any slice sizes, the final slice's :class:`~repro.sim.explorer.
@@ -46,12 +52,13 @@ offset** — run seeds ``[k, k+n)`` now, ``[k+n, ...)`` later.
 from __future__ import annotations
 
 import pickle
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
-from repro.sim.engine import RunResult
 from repro.sim.statecache import StateCache
+
+if TYPE_CHECKING:  # pragma: no cover - the explorer module imports this one
+    from repro.sim.explorer import ExplorationResult
 
 __all__ = ["ExplorationFrontier", "SLICEABLE_EXPLORERS"]
 
@@ -62,7 +69,7 @@ SLICEABLE_EXPLORERS = ("dfs", "sleepset")
 
 @dataclass
 class ExplorationFrontier:
-    """One paused exploration: pending work + cumulative tallies.
+    """One paused exploration: pending work + the cumulative result.
 
     Produced by ``Explorer.explore(slice_budget=...)`` /
     ``SleepSetExplorer.explore(slice_budget=...)`` on the result's
@@ -78,6 +85,9 @@ class ExplorationFrontier:
     #: Whether the paused search was memoizing (must match on resume —
     #: the carried fingerprint set is meaningless otherwise).
     memoize: bool
+    #: The provisional result of the slices so far (without a frontier
+    #: of its own): cumulative tallies, cache counters and wall-clock.
+    result: ExplorationResult
     #: The pending LIFO stack, top last.  DFS entries are
     #: ``(prefix, paid_preemptions)``; sleep-set entries are
     #: ``(prefix, sorted_sleep_tuple)``.  Pipeline snapshots are never
@@ -87,21 +97,8 @@ class ExplorationFrontier:
     #: aborts + sleep-pruned branches) — the cumulative charge against
     #: ``max_schedules``.
     attempts: int = 0
-    # -- cumulative result tallies (ExplorationResult fields) ---------------
-    schedules_run: int = 0
-    statuses: Counter = field(default_factory=Counter)
-    outcomes: Dict[Tuple, int] = field(default_factory=dict)
-    matching: List[RunResult] = field(default_factory=list)
-    match_count: int = 0
-    first_match_schedule: Optional[List[str]] = None
-    schedules_to_first_finding: Optional[int] = None
-    cache_hits: int = 0
-    states_expanded: int = 0
-    preemptions_spent: int = 0
     #: Sleep-set-pruned branches so far (sleepset frontiers only).
     pruned_runs: int = 0
-    #: Wall-clock already spent across earlier slices.
-    wall_seconds: float = 0.0
     #: Exported :class:`~repro.sim.statecache.StateCache` state
     #: ``(seen fingerprints, hits, lookups)``; ``None`` when unmemoized.
     cache_state: Optional[Tuple[Any, int, int]] = None
@@ -145,7 +142,7 @@ class ExplorationFrontier:
         """Pickle this frontier for a worker round-trip or persistence.
 
         Everything inside is plain data: prefixes are thread-name lists,
-        fingerprints are nested tuples of atoms, and the retained
+        fingerprints are nested tuples of atoms, and the carried result's
         ``matching`` runs are plain run results.
         """
         return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
@@ -165,6 +162,6 @@ class ExplorationFrontier:
         return (
             f"{self.program} [{self.explorer}]: {len(self.pending)} pending "
             f"prefixes after {self.attempts} attempts, "
-            f"{self.schedules_run} schedules run"
+            f"{self.result.schedules_run} schedules run"
         )
 

@@ -33,41 +33,27 @@ correct reducer and the differential baseline DPOR is tested against.
 
 from __future__ import annotations
 
-from collections import Counter
-from time import perf_counter
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ReproError
 from repro.obs import metrics as obs_metrics
-from repro.obs import profile as obs_profile
 from repro.sim import ops
-from repro.sim.engine import Engine, RunResult, RunStatus
+from repro.sim.engine import RunResult, RunStatus
 from repro.sim.explorer import (
-    ExplorationResult,
-    Predicate,
-    _default_predicate,
-    _DirectedPolicy,
-    _fill_pipeline,
-    _outcome_key,
+    Seed,
+    _AllAsleep,
     _previous,
-    _record_exploration,
-    _record_pipeline_stats,
-    _result_from_frontier,
-    _start_pass,
+    _Search,
+    _SearchScheduler,
 )
 from repro.sim.program import Program
-from repro.sim.scheduler import Scheduler
-from repro.sim.statecache import MemoHit, StateCache, state_fingerprint
-from repro.sim.trace import Trace
+from repro.sim.statecache import MemoHit
+# Importable here as the very object the explorer fingerprints with:
+# profilers (perfbench/tracer.py) patch it in each importing module.
+from repro.sim.statecache import state_fingerprint  # noqa: F401
 
 __all__ = ["SleepSetExplorer", "op_footprint", "ops_dependent"]
 
 Token = Tuple[str, str]
-
-#: A sleep-set stack entry: (schedule prefix, sleep set at its branch,
-#: pipeline snapshot or ``None``, trace of the run that pushed it or
-#: ``None``) — the sleep-set analogue of :data:`repro.sim.explorer.Seed`.
-SleepSeed = Tuple[List[str], FrozenSet[str], Optional[Any], Optional[Trace]]
 
 
 def op_footprint(op: ops.Op, thread: str, cond_locks: Dict[str, str]) -> FrozenSet[Token]:
@@ -142,72 +128,31 @@ def ops_dependent(a: FrozenSet[Token], b: FrozenSet[Token]) -> bool:
     return False
 
 
-class _SleepPruned(ReproError):
-    """Raised by the scheduler when every enabled thread is asleep."""
-
-
-class _SleepScheduler(Scheduler):
+class _SleepScheduler(_SearchScheduler):
     """Extend a run past its prefix while tracking sleep sets.
 
-    The engine replays the forced prefix, so every ``choose`` call is a
-    fresh decision; the sleep set starts as the seed's.  Needs engine
-    access (attached by the explorer after construction) to read pending
-    operations for footprints.
-
-    With a :class:`StateCache` attached, each decision point is
-    fingerprinted as ``(engine state, sleep set)`` — the pair that fully
-    determines the reduced subtree below the node — and a revisited pair
-    raises :class:`MemoHit` to abort the redundant run.
+    The sleep set starts as the seed's.  With a :class:`StateCache`
+    attached, each decision point is fingerprinted as ``(engine state,
+    sleep set)`` — the pair that fully determines the reduced subtree
+    below the node — and a revisited pair raises :class:`MemoHit` to
+    abort the redundant run.
     """
 
-    def __init__(
-        self,
-        initial_sleep: FrozenSet[str],
-        cache: Optional[StateCache] = None,
-        pipeline: Optional[Any] = None,
-        directed: Optional[_DirectedPolicy] = None,
-    ):
-        self.initial_sleep = initial_sleep
-        self.cache = cache
-        self.pipeline = pipeline
-        self.directed = directed
-        self.engine: Optional[Engine] = None
-        self.cond_locks: Dict[str, str] = {}
-        self.choices: List[str] = []
-        self.enabled_sets: List[List[str]] = []
+    #: The sleep-set search keeps no preemption account (it refuses a
+    #: preemption bound), so its results report ``preemptions_spent == 0``.
+    preemptions = 0
+
+    def __init__(self, search: "SleepSetExplorer", sleep: FrozenSet[str]):
+        super().__init__(search)
         self.sleep_sets: List[FrozenSet[str]] = []
         self.footprints: List[Dict[str, FrozenSet[Token]]] = []
-        # Per-node directed sort keys (computed once per node, reused at
-        # sibling-push time; aligned with enabled_sets, empty when
-        # undirected).
-        self.directed_keys: List[Dict[str, Tuple[int, int, str]]] = []
-        # Pipeline snapshots per recorded decision (None where at most
-        # one awake thread means no sibling branches).
-        self.node_snapshots: List[Optional[Any]] = []
-        self._sleep: FrozenSet[str] = initial_sleep
-        self.pruned = False
-        # Hoisted once per run; fingerprinting is the per-decision hot path.
-        self._profiler = obs_profile.active()
-
-    def attach(self, engine: Engine) -> None:
-        self.engine = engine
-        self.cond_locks = dict(engine.program.conditions)
-
-    def _fingerprint(self):
-        profiler = self._profiler
-        if profiler is None:
-            return state_fingerprint(self.engine)
-        start = perf_counter()
-        fingerprint = state_fingerprint(self.engine)
-        profiler.add("explorer.fingerprint", perf_counter() - start)
-        return fingerprint
+        self._sleep = sleep
 
     def _pending_footprints(self, enabled: Sequence[str]) -> Dict[str, FrozenSet[Token]]:
-        assert self.engine is not None
+        engine = self.engine
+        cond_locks = engine.program.conditions
         return {
-            name: op_footprint(
-                self.engine.pending_op(name), name, self.cond_locks
-            )
+            name: op_footprint(engine.pending_op(name), name, cond_locks)
             for name in enabled
         }
 
@@ -242,7 +187,7 @@ class _SleepScheduler(Scheduler):
             )
         if not awake:
             self.pruned = True
-            raise _SleepPruned("all enabled threads are asleep")
+            raise _AllAsleep("all enabled threads are asleep")
         if self.directed is not None:
             choice = min(awake, key=self.directed_keys[-1].__getitem__)
         elif last in awake:
@@ -260,19 +205,21 @@ class _SleepScheduler(Scheduler):
         self.choices.append(choice)
         return choice
 
-    def reset(self) -> None:
-        self.choices = []
-        self.enabled_sets = []
-        self.sleep_sets = []
-        self.footprints = []
-        self.directed_keys = []
-        self.node_snapshots = []
-        self._sleep = self.initial_sleep
-        self.pruned = False
 
+class SleepSetExplorer(_Search):
+    """DFS exploration with sleep-set partial-order reduction.
 
-class SleepSetExplorer:
-    """DFS exploration with sleep-set partial-order reduction."""
+    Shares the search loop of :class:`~repro.sim.explorer.Explorer`;
+    only the scheduler and the sibling-push rule differ.  Race-directed
+    ``targets`` reorder sibling pushes, which is sound for sleep sets: a
+    sibling's sleep set only needs each sleeping thread to own another
+    branch at the same node, which holds for any enumeration order.  An
+    attached pipeline sees only the non-pruned representative schedules.
+    Sliced exploration checkpoints each pending entry with its sleep set.
+    """
+
+    kind = "sleepset"
+    _root_mark: FrozenSet[str] = frozenset()
 
     def __init__(
         self,
@@ -284,225 +231,34 @@ class SleepSetExplorer:
         pipeline: Optional[Any] = None,
         targets: Optional[Sequence[Any]] = None,
     ):
-        self.program = program
-        self.max_schedules = max_schedules
-        self.max_steps = max_steps
-        self.keep_matches = keep_matches
-        self.memoize = memoize
-        #: Race-directed visit ordering (see
-        #: :class:`~repro.sim.explorer.Explorer`).  Reordering sibling
-        #: pushes is sound for sleep sets: a sibling's sleep set only
-        #: needs each sleeping thread to own another branch at the same
-        #: node, which holds for any enumeration order.
-        self.directed = _DirectedPolicy(targets) if targets else None
-        #: Streaming detector pipeline (duck-typed, as in
-        #: :class:`~repro.sim.explorer.Explorer`); note that reduction
-        #: already skips interleavings, so pipeline findings cover only
-        #: the non-pruned representative schedules.
-        self.pipeline = pipeline
-        #: Redundant branches pruned in the last exploration.
-        self.pruned_runs = 0
-        #: The state cache of the most recent exploration (None unless
-        #: ``memoize=True``).
-        self.cache: Optional[StateCache] = None
-
-    def explore(
-        self,
-        predicate: Optional[Predicate] = None,
-        stop_on_first: bool = False,
-        *,
-        slice_budget: Optional[int] = None,
-        frontier: Optional[Any] = None,
-    ) -> ExplorationResult:
-        """Explore with reduction; result fields as in :class:`Explorer`.
-
-        ``slice_budget`` / ``frontier`` give the same sliced-resumable
-        contract as :meth:`Explorer.explore`: a paused search returns a
-        checkpoint on ``result.frontier`` whose pending entries carry
-        their sleep sets, and concatenated slices reproduce the unsliced
-        result exactly.  Incompatible with an attached pipeline
-        (``ValueError``).
-        """
-        sliced = slice_budget is not None or frontier is not None
-        if sliced:
-            if self.pipeline is not None:
-                raise ValueError(
-                    "sliced exploration cannot be combined with a streaming "
-                    "detector pipeline: branch-point snapshots hold live "
-                    "analysis state that must not cross a checkpoint boundary"
-                )
-            if slice_budget is not None and slice_budget < 1:
-                raise ValueError(
-                    f"slice_budget must be a positive schedule count, got "
-                    f"{slice_budget}"
-                )
-        start = perf_counter()
-        base_wall = frontier.wall_seconds if frontier is not None else 0.0
-        match = predicate if predicate is not None else _default_predicate
-        if frontier is not None:
-            frontier.check("sleepset", self.program.name, self.memoize)
-            result = _result_from_frontier(frontier, self.program.name)
-            self.pruned_runs = frontier.pruned_runs
-            cache = frontier.restore_cache()
-            stack: List[SleepSeed] = [
-                (list(prefix), frozenset(sleep), None, None)
-                for prefix, sleep in frontier.pending
-            ]
-            attempts = frontier.attempts
-        else:
-            result = ExplorationResult(
-                program=self.program.name, schedules_run=0, complete=True
-            )
-            self.pruned_runs = 0
-            cache = StateCache() if self.memoize else None
-            stack = [([], frozenset(), None, None)]
-            attempts = 0
-        self.cache = cache
-        limit = (
-            min(self.max_schedules, attempts + slice_budget)
-            if slice_budget is not None
-            else None
-        )
-        while stack:
-            if attempts >= self.max_schedules:
-                result.complete = False
-                break
-            if limit is not None and attempts >= limit:
-                break  # slice exhausted; checkpoint the stack below
-            prefix, sleep, snapshot, parent = stack.pop()
-            attempts += 1
-            run, scheduler = self._run_once(
-                prefix, sleep, cache, snapshot, parent
-            )
-            result.states_expanded += len(scheduler.choices)
-            if run is not None:
-                result.schedules_run += 1
-                result.statuses[run.status] += 1
-                key = _outcome_key(run)
-                result.outcomes[key] = result.outcomes.get(key, 0) + 1
-                if match(run):
-                    result.match_count += 1
-                    if len(result.matching) < self.keep_matches:
-                        result.matching.append(run)
-                    if result.first_match_schedule is None:
-                        result.first_match_schedule = list(run.schedule)
-                        result.schedules_to_first_finding = result.schedules_run
-                    if stop_on_first:
-                        result.complete = False
-                        self._finish(result, cache, start, base_wall)
-                        return result
-            elif scheduler.pruned:
-                self.pruned_runs += 1
-            else:
-                result.cache_hits += 1
-            self._push_siblings(stack, scheduler, prefix, run)
-        if sliced and stack and result.complete:
-            # Slice exhausted with pending work: checkpoint and return a
-            # provisional result; metrics wait for the terminal slice.
-            if cache is not None:
-                result.cache_lookups = cache.lookups
-                result.cache_states = len(cache)
-            result.wall_seconds = base_wall + perf_counter() - start
-            result.frontier = self._make_frontier(result, stack, cache)
-            return result
-        self._finish(result, cache, start, base_wall)
-        return result
-
-    def _make_frontier(
-        self,
-        result: ExplorationResult,
-        stack: List[SleepSeed],
-        cache: Optional[StateCache],
-    ):
-        """Checkpoint a paused sleep-set search (see :mod:`repro.sim.frontier`)."""
-        from repro.sim.frontier import ExplorationFrontier
-
-        return ExplorationFrontier(
-            explorer="sleepset",
-            program=self.program.name,
-            memoize=self.memoize,
-            pending=[
-                (list(prefix), tuple(sorted(sleep)))
-                for prefix, sleep, _, _ in stack
-            ],
-            attempts=(
-                result.schedules_run + result.cache_hits + self.pruned_runs
-            ),
-            schedules_run=result.schedules_run,
-            statuses=Counter(result.statuses),
-            outcomes=dict(result.outcomes),
-            matching=list(result.matching),
-            match_count=result.match_count,
-            first_match_schedule=(
-                list(result.first_match_schedule)
-                if result.first_match_schedule is not None else None
-            ),
-            schedules_to_first_finding=result.schedules_to_first_finding,
-            cache_hits=result.cache_hits,
-            states_expanded=result.states_expanded,
-            preemptions_spent=result.preemptions_spent,
-            pruned_runs=self.pruned_runs,
-            wall_seconds=result.wall_seconds,
-            cache_state=cache.export_state() if cache is not None else None,
+        super().__init__(
+            program, max_schedules, max_steps, keep_matches, memoize,
+            pipeline, targets,
         )
 
-    def _finish(
-        self,
-        result: ExplorationResult,
-        cache: Optional[StateCache],
-        start: float,
-        base_wall: float = 0.0,
-    ) -> None:
-        """Close out one exploration: cache stats, wall-clock, metrics."""
-        if cache is not None:
-            result.cache_lookups = cache.lookups
-            result.cache_states = len(cache)
-            cache.record_metrics(program=self.program.name)
-        _fill_pipeline(result, self.pipeline)
-        if result.pipeline_stats is not None:
-            _record_pipeline_stats(result.pipeline_stats, self.program.name)
-        result.wall_seconds = base_wall + perf_counter() - start
+    def _scheduler(self, sleep: FrozenSet[str]) -> _SleepScheduler:
+        return _SleepScheduler(self, sleep)
+
+    @staticmethod
+    def _saved_mark(sleep: FrozenSet[str]) -> Tuple[str, ...]:
+        return tuple(sorted(sleep))
+
+    @staticmethod
+    def _stack_mark(saved: Tuple[str, ...]) -> FrozenSet[str]:
+        return frozenset(saved)
+
+    def _publish_search_counters(self) -> None:
         obs_metrics.inc(
             "explorer.pruned_runs", self.pruned_runs,
-            program=self.program.name, explorer="sleepset",
+            program=self.program.name, explorer=self.kind,
         )
-        _record_exploration(result, "sleepset")
-
-    # -- internals ----------------------------------------------------------
-
-    def _run_once(
-        self,
-        prefix: List[str],
-        sleep: FrozenSet[str],
-        cache: Optional[StateCache],
-        snapshot: Optional[Any] = None,
-        parent: Optional[Trace] = None,
-    ) -> Tuple[Optional[RunResult], _SleepScheduler]:
-        pipeline = self.pipeline
-        hook, parent = _start_pass(pipeline, snapshot, parent)
-        scheduler = _SleepScheduler(
-            sleep, cache=cache, pipeline=pipeline, directed=self.directed,
-        )
-        engine = Engine(
-            self.program, scheduler, max_steps=self.max_steps, event_hook=hook,
-            prefix=prefix, prefix_events=parent,
-        )
-        scheduler.attach(engine)
-        try:
-            run = engine.run()
-        except (_SleepPruned, MemoHit):
-            # Already-fed events did execute; end-of-trace analyses are
-            # skipped for aborted runs.
-            return None, scheduler
-        if pipeline is not None:
-            pipeline.finish_pass()
-        return run, scheduler
 
     def _push_siblings(
         self,
-        stack: List[SleepSeed],
+        stack: List[Seed],
         scheduler: _SleepScheduler,
         prefix: List[str],
+        sleep: FrozenSet[str],
         run: Optional[RunResult],
     ) -> None:
         # No reduction credit from truncated runs (crash / budget abort):

@@ -479,7 +479,7 @@ def confirm(
     start = perf_counter()
     report = analyse_summary(summary)
     program = lift(summary)
-    comparison = DetectorSuite.for_program(program, streaming=True).analyse_static(
+    comparison = DetectorSuite.for_program(program).analyse_static(
         program,
         max_schedules=max_schedules,
         reduction=reduction,

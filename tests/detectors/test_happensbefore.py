@@ -167,5 +167,5 @@ class TestReportShape:
         traces = [
             run_program(prog, RandomScheduler(seed=s)).trace for s in range(3)
         ]
-        merged = detector.analyse_many(traces)
+        merged = helpers.per_detector_reports([detector], traces)[detector.name]
         assert not merged.clean

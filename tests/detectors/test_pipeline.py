@@ -1,11 +1,11 @@
-"""Differential harness: the streaming pipeline must equal batch analysis.
+"""Differential harness: the shared pipeline must equal batch analysis.
 
-The streaming refactor is only sound if it is *invisible*: a
+The streaming refactor is only sound if it is *invisible*: a shared
 :class:`~repro.detectors.pipeline.DetectorPipeline` pass over a trace —
 or riding along with the explorer (`analyse_online`) — must produce
-byte-for-byte the same findings as the classic per-detector
-``analyse(trace)`` batch path.  These tests prove that over a generated
-program corpus and over the exploration option matrix
+byte-for-byte the same findings as one pass per detector (the
+reference, ``helpers.per_detector_reports``).  These tests prove that
+over a generated program corpus and over the exploration option matrix
 (memoize x preemption_bound), and pin the efficiency claims:
 one event dispatch per (event, pipeline) rather than per detector, and
 prefix reuse across sibling schedules.
@@ -14,7 +14,7 @@ prefix reuse across sibling schedules.
 import pytest
 from hypothesis import assume, given, settings
 
-from repro.detectors import DetectorSuite, default_detectors
+from repro.detectors import DetectorSuite, SuiteResult, default_detectors
 from repro.detectors.happensbefore import HappensBeforeDetector
 from repro.detectors.pipeline import DetectorPipeline
 from repro.obs import metrics as obs_metrics
@@ -49,6 +49,13 @@ def report_keys(result):
     }
 
 
+def reference_suite(program, traces):
+    """One single-detector pipeline per detector: the independent reference."""
+    return SuiteResult(
+        reports=helpers.per_detector_reports(default_detectors(program), traces)
+    )
+
+
 def collect_traces(program, **options):
     """Every explored run's trace, plus the exploration result."""
     explorer = make_explorer(
@@ -76,17 +83,15 @@ OPTION_MATRIX = [
 
 
 class TestStreamingEqualsBatch:
-    """`DetectorSuite(streaming=True)` reports == the per-detector batch."""
+    """`DetectorSuite`'s shared pass == one pipeline per detector."""
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(corpus_programs())
     def test_corpus_traces(self, program):
         traces, result = collect_traces(program)
         assume(result.complete)
-        batch = DetectorSuite.for_program(program).analyse_many(traces)
-        streaming = DetectorSuite.for_program(
-            program, streaming=True
-        ).analyse_many(traces)
+        batch = reference_suite(program, traces)
+        streaming = DetectorSuite.for_program(program).analyse_many(traces)
         assert report_keys(streaming) == report_keys(batch)
 
     @pytest.mark.parametrize(
@@ -102,19 +107,15 @@ class TestStreamingEqualsBatch:
         # batch must read it the same way.
         traces, _ = collect_traces(program, **options)
         assert traces
-        batch = DetectorSuite.for_program(program).analyse_many(traces)
-        streaming = DetectorSuite.for_program(
-            program, streaming=True
-        ).analyse_many(traces)
+        batch = reference_suite(program, traces)
+        streaming = DetectorSuite.for_program(program).analyse_many(traces)
         assert report_keys(streaming) == report_keys(batch)
 
     def test_single_trace_analyse(self):
         program = helpers.racy_counter()
         trace = run_program(program, CooperativeScheduler()).trace
-        batch = DetectorSuite.for_program(program).analyse(trace)
-        streaming = DetectorSuite.for_program(program, streaming=True).analyse(
-            trace
-        )
+        batch = reference_suite(program, [trace])
+        streaming = DetectorSuite.for_program(program).analyse(trace)
         assert report_keys(streaming) == report_keys(batch)
 
 

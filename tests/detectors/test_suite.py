@@ -87,7 +87,7 @@ class TestAnalyseStatic:
     """The static-vs-dynamic cross-check (see also tests/static/)."""
 
     def analyse(self, program, predicate=None):
-        suite = DetectorSuite.for_program(program, streaming=True)
+        suite = DetectorSuite.for_program(program)
         return suite.analyse_static(program, predicate=predicate)
 
     def test_racy_counter_full_agreement(self):

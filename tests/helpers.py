@@ -346,3 +346,22 @@ def yield_only(steps: int = 3, threads: int = 2) -> Program:
         "yield-only",
         threads={f"T{i}": body for i in range(1, threads + 1)},
     )
+
+
+def per_detector_reports(detectors, traces):
+    """Reference analysis: one single-detector pipeline per detector.
+
+    Each detector reads every trace in a pipeline of its own, so nothing
+    is shared between detectors; the suite's one shared pass must merge
+    findings into exactly these per-detector reports.
+    """
+    from repro.detectors.pipeline import DetectorPipeline
+
+    traces = list(traces)
+    reports = {}
+    for detector in detectors:
+        pipeline = DetectorPipeline([detector])
+        for trace in traces:
+            pipeline.run_trace(trace)
+        reports[detector.name] = pipeline.reports[detector.name]
+    return reports

@@ -6,10 +6,13 @@ that drifts from its ``ExplorationResult`` field is worse than no
 counter at all.
 """
 
+import pytest
+
 from repro.detectors import DetectorSuite
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.sim import Explorer, RandomScheduler, run_program
+from repro.sim.explorer import make_explorer
 from repro.sim.reduction import SleepSetExplorer
 from tests.helpers import racy_counter
 
@@ -60,6 +63,18 @@ class TestExplorerCounters:
         assert registry.counter("statecache.hits", **labels) == result.cache_hits
         assert registry.gauge("statecache.size", **labels) == result.cache_states
         assert result.cache_states == len(explorer.cache)
+
+    @pytest.mark.parametrize("reduction", [None, "sleepset", "dpor"])
+    def test_fingerprint_span_counts_every_memo_lookup(self, reduction):
+        # Every explorer fingerprints through one timed helper, so the
+        # profile span sees each state-cache lookup exactly once.
+        profiler = obs_profile.enable()
+        result = make_explorer(
+            racy_counter(threads=3), memoize=True, reduction=reduction
+        ).explore()
+        assert result.cache_lookups > 0
+        spans = profiler.as_dict()
+        assert spans["explorer.fingerprint"]["count"] == result.cache_lookups
 
     def test_sleepset_counters(self, registry):
         result = SleepSetExplorer(racy_counter(), max_schedules=5000).explore()

@@ -112,6 +112,16 @@ def test_job_options_reject_garbage():
         JobOptions.from_dict({"preemption_bound": "two"})
     with pytest.raises(JobError):
         JobOptions.from_dict({"reduction": "magic"})
+    for garbage in (
+        {"memoize": "false"},
+        {"memoize": 1},
+        {"memoize": None},
+        {"preemption_bound": True},
+        {"max_schedules": True},
+        {"max_schedules": 2.0},
+    ):
+        with pytest.raises(JobError):
+            JobOptions.from_dict(garbage)
     with pytest.raises(JobError):
         JobKind.parse("fuzz")
 

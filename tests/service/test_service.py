@@ -113,10 +113,21 @@ def test_differing_options_miss_the_cache(tmp_path):
     asyncio.run(main())
 
 
-def test_workers_option_is_refused_over_the_wire(tmp_path):
+@pytest.mark.parametrize(
+    "options, error",
+    [
+        ({"workers": 2}, "unknown job option(s): workers"),
+        ({"frontier": "00"}, "unknown job option(s): frontier"),
+        ({"memoize": "false"}, "option memoize must be a boolean"),
+    ],
+    ids=["workers", "frontier", "memoize-string"],
+)
+def test_workers_option_is_refused_over_the_wire(tmp_path, options, error):
     """A ``workers`` option, which the service does not have, gets the
     unknown-option error through the real socket protocol — not a silent
-    serial run — and the same service keeps answering ``status``."""
+    serial run — and the same service keeps answering ``status``.  So do
+    a ``frontier`` field (the protocol never accepts a pickle) and an
+    option of the wrong type."""
     from repro.service.protocol import request_once, serve
 
     async def main():
@@ -132,7 +143,7 @@ def test_workers_option_is_refused_over_the_wire(tmp_path):
                 "op": "submit",
                 "kind": "detect",
                 "kernel": "atomicity_lost_update",
-                "options": {"workers": 2},
+                "options": options,
                 "wait": True,
                 "timeout": 60,
             },
@@ -145,7 +156,7 @@ def test_workers_option_is_refused_over_the_wire(tmp_path):
 
     refused, status = asyncio.run(main())
     assert not refused["ok"]
-    assert "unknown job option(s): workers" in refused["error"]
+    assert error in refused["error"]
     assert status["ok"]
     assert status["totals"]["submissions"] == 0
     assert status["jobs"] == []

@@ -173,8 +173,38 @@ class TestFrontierObject:
         assert clone.program == frontier.program
         assert clone.pending == frontier.pending
         assert clone.attempts == frontier.attempts
-        assert clone.outcomes == frontier.outcomes
+        assert clone.result.outcomes == frontier.result.outcomes
         assert clone.cache_state == frontier.cache_state
+
+    def test_resume_leaves_frontier_and_provisional_result_unchanged(self):
+        """A frontier carries its result by value: resuming it twice
+        gives equal terminal results, and neither the frontier nor the
+        provisional result that returned it changes."""
+        program = helpers.racy_counter(threads=3)
+
+        def explorer():
+            return Explorer(program, memoize=True)
+
+        def match_all(run):
+            return True
+
+        def tallies(result):
+            return (
+                result.schedules_run, dict(result.statuses),
+                dict(result.outcomes), list(result.matching),
+                result.match_count, result.cache_hits, result.states_expanded,
+                result.cache_lookups, result.wall_seconds,
+            )
+
+        paused = explorer().explore(predicate=match_all, slice_budget=2)
+        assert paused.frontier is not None and paused.matching
+        blob, before = paused.frontier.to_bytes(), tallies(paused)
+        first = explorer().explore(predicate=match_all, frontier=paused.frontier)
+        second = explorer().explore(predicate=match_all, frontier=paused.frontier)
+        assert_results_equal(first, second)
+        assert_results_equal(first, explorer().explore(predicate=match_all))
+        assert paused.frontier.to_bytes() == blob
+        assert tallies(paused) == before
 
     def test_from_bytes_rejects_foreign_pickles(self):
         with pytest.raises(ValueError, match="ExplorationFrontier"):

@@ -38,7 +38,7 @@ KNOWN_RESIDUAL_VARIANTS = {
 
 
 def comparison_for(kernel):
-    suite = DetectorSuite.for_program(kernel.buggy, streaming=True)
+    suite = DetectorSuite.for_program(kernel.buggy)
     return suite.analyse_static(kernel.buggy, predicate=kernel.failure)
 
 
