@@ -1,10 +1,10 @@
 """Adaptive (UCB1) budget allocation vs fixed search strategies.
 
-The fleet-scheduling question behind ``repro serve --alloc ucb``,
-measured on a mixed corpus (every bug kernel plus generated programs —
-some buggy, some failure-free): *how many schedules does a first finding
-cost when you must pick a strategy up front, vs letting a bandit
-discover the right one per program?*
+The question behind the estimator's ``adaptive`` row, the one consumer
+of :mod:`repro.alloc`, measured on a mixed corpus (every bug kernel
+plus generated programs — some buggy, some failure-free): *how many
+schedules does a first finding cost when you must pick a strategy up
+front, vs letting a bandit discover the right one per program?*
 
 Each fixed strategy pays its own worst cases:
 

@@ -2,8 +2,9 @@
 
 One bench to rule the reproduction: build every table, re-derive every
 finding, and run the kernel evidence (manifestation + fix verification +
-order-enforcement guarantee on all 13 kernels).  The report must end in
-ALL FINDINGS REPRODUCED.
+order-enforcement guarantee on all 16 registered kernels, one evidence
+line each, none of them reporting a NO).  The report must end in ALL
+FINDINGS REPRODUCED.
 """
 
 from repro.study import generate_report
@@ -13,7 +14,7 @@ def test_full_report_reproduces_all_findings(benchmark):
     report = benchmark.pedantic(generate_report, rounds=1, iterations=1)
     assert report.all_findings_pass
     assert len(report.tables) == 10
-    assert len(report.kernel_evidence) == 13
+    assert len(report.kernel_evidence) == 16
     assert all("NO" not in line for line in report.kernel_evidence)
     print()
     print(report.format())

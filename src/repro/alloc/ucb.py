@@ -2,11 +2,11 @@
 
 The allocator answers one question, repeatedly: *which arm should the
 next slice of schedules go to?*  An arm is any (job, strategy) pair the
-caller registers — the service scheduler registers one arm per queued
-job, the adaptive estimator registers one arm per search strategy on a
-single program.  The allocator never runs anything itself; callers pull
-an arm with :meth:`UCBAllocator.select`, spend a slice, and report back
-with :meth:`UCBAllocator.record`.
+caller registers — the adaptive race (:mod:`repro.alloc.adaptive`)
+registers one arm per search strategy on a single program.  The
+allocator never runs anything itself; callers pull an arm with
+:meth:`UCBAllocator.select`, spend a slice, and report back with
+:meth:`UCBAllocator.record`.
 
 Payout model
 ------------
@@ -36,8 +36,8 @@ Telemetry: every ``record`` increments ``alloc.pulls`` /
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import runlog as obs_runlog
@@ -74,8 +74,6 @@ class ArmStats:
     payout: float = 0.0
     findings: int = 0
     retired: bool = False
-    last_payout: float = 0.0
-    meta: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def key(self) -> ArmKey:
@@ -121,21 +119,15 @@ class UCBAllocator:
 
     # -- registration -------------------------------------------------
 
-    def add_arm(self, job: str, strategy: str, **meta: Any) -> ArmKey:
+    def add_arm(self, job: str, strategy: str) -> ArmKey:
         """Register an arm; re-registering an existing key is an error."""
         key = (job, strategy)
         if key in self._arms:
             raise ValueError(f"arm already registered: {key!r}")
-        self._arms[key] = ArmStats(job=job, strategy=strategy, meta=dict(meta))
+        self._arms[key] = ArmStats(job=job, strategy=strategy)
         self._order.append(key)
         self._gauge_live()
         return key
-
-    def __contains__(self, key: ArmKey) -> bool:
-        return key in self._arms
-
-    def __len__(self) -> int:
-        return len(self._arms)
 
     def arm(self, key: ArmKey) -> ArmStats:
         """Return the :class:`ArmStats` registered under ``key``."""
@@ -151,19 +143,14 @@ class UCBAllocator:
 
     # -- selection ----------------------------------------------------
 
-    def select(self, exclude: Iterable[ArmKey] = ()) -> Optional[ArmKey]:
-        """The arm the next slice should go to, or ``None`` if none eligible.
+    def select(self) -> Optional[ArmKey]:
+        """The arm the next slice should go to, or ``None`` if all retired.
 
         Unplayed live arms win first, in registration order; afterwards
         the highest UCB1 score wins, ties broken by registration order
-        (``max`` keeps the earliest of equal scores).  ``exclude`` masks
-        arms without touching their stats — the service passes the arms
-        whose previous slice is still in flight.
+        (``max`` keeps the earliest of equal scores).
         """
-        masked = set(exclude)
-        live = [
-            stats for stats in self.live_arms() if stats.key not in masked
-        ]
+        live = self.live_arms()
         if not live:
             return None
         for stats in live:
@@ -203,7 +190,6 @@ class UCBAllocator:
         stats.pulls += 1
         stats.schedules += schedules
         stats.payout += payout
-        stats.last_payout = payout
         if finding:
             stats.findings += 1
         self.total_pulls += 1
@@ -248,18 +234,8 @@ class UCBAllocator:
     # -- reporting ----------------------------------------------------
 
     def stats(self) -> List[Dict[str, Any]]:
-        """Per-arm dicts in registration order, for dashboards/benchmarks."""
+        """Per-arm dicts in registration order, for race reports."""
         return [stats.as_dict() for stats in self.arms()]
-
-    def summary(self) -> Dict[str, Any]:
-        """Return allocator-wide totals (arms, live, pulls, schedules, ...)."""
-        return {
-            "arms": len(self._arms),
-            "live": len(self.live_arms()),
-            "pulls": self.total_pulls,
-            "schedules": self.total_schedules,
-            "exploration": self.exploration,
-        }
 
     def _gauge_live(self) -> None:
         registry = obs_metrics.active()

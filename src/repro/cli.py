@@ -299,15 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-pending", type=_positive_int, default=256,
         help="admission control: refuse submissions past this backlog",
     )
-    serve.add_argument(
-        "--alloc", choices=("fifo", "ucb"), default="fifo",
-        help="scheduling policy: run-to-completion FIFO (default) or "
-             "UCB bandit slice allocation; see docs/allocator.md",
-    )
-    serve.add_argument(
-        "--slice-budget", type=_positive_int, default=400,
-        help="schedule attempts per dispatched slice under --alloc ucb",
-    )
 
     submit = commands.add_parser(
         "submit", help="submit one job to a running service",
@@ -861,13 +852,12 @@ def _cmd_serve(args) -> int:
     fleet = WorkerFleet(size=args.fleet, pool=args.pool)
     service = ReproService(
         cache=args.cache_dir, fleet=fleet, max_pending=args.max_pending,
-        alloc=args.alloc, slice_budget=args.slice_budget,
     )
     endpoint = _endpoint(args)
     where = endpoint.get("socket_path") or f"127.0.0.1:{endpoint['port']}"
     print(
         f"repro service listening on {where} — fleet {fleet.size} "
-        f"({fleet.mode}), alloc {service.alloc}, cache {service.cache.root}",
+        f"({fleet.mode}), cache {service.cache.root}",
         file=sys.stderr,
     )
     try:
@@ -955,55 +945,9 @@ def _cmd_status(args) -> int:
     if args.json:
         print(json.dumps(response, indent=2))
     else:
-        totals = response["totals"]
-        fleet = response["fleet"]
-        queue = response["queue"]
-        print(
-            f"repro service — up {response['uptime_seconds']:.0f}s, "
-            f"fleet {fleet['size']} ({fleet['mode']}), "
-            f"queue {queue['depth']} pending / {queue['running']} running"
-        )
-        print(
-            f"  submissions {totals['submissions']}  "
-            f"completed {totals['completed']}  failed {totals['failed']}  "
-            f"cache hits {totals['cache_hits']}  "
-            f"coalesced {totals['coalesced']}  "
-            f"dedup {totals['dedup_ratio']:.0%}  "
-            f"engine runs {totals['engine_runs']}"
-        )
-        wait = response.get("queue_wait") or {}
-        if wait:
-            print(
-                f"  queue wait: mean {wait.get('mean', 0.0):.3f}s  "
-                f"max {wait.get('max', 0.0):.3f}s  "
-                f"over {wait.get('count', 0)} dispatched job(s)"
-            )
-        cache = response["cache"]
-        print(f"  cache: {cache['entries']} entries at {cache['path']}")
-        alloc = response.get("alloc") or {}
-        if alloc.get("policy") == "ucb":
-            print(
-                f"  alloc: ucb — {alloc.get('arms_live', 0)}/"
-                f"{alloc.get('arms_total', 0)} arms live, "
-                f"{alloc.get('pulls', 0)} pulls over "
-                f"{alloc.get('schedules', 0)} schedules "
-                f"(slice budget {alloc.get('slice_budget')})"
-            )
-            for arm in alloc.get("arms", []):
-                print(
-                    f"    {arm['job']} {arm['strategy']}: "
-                    f"{arm['pulls']} pulls, {arm['schedules']} schedules, "
-                    f"payout {arm['payout']:.2f} "
-                    f"({'retired' if arm['retired'] else 'live'})"
-                )
-        for job in response["jobs"]:
-            wall = job.get("wall_seconds")
-            print(
-                f"  {job['id']} {job['kind']:8s} {job['kernel']:26s} "
-                f"{job['state']:8s} "
-                f"{'cache' if job['cached'] else 'fleet':6s} "
-                f"{(f'{wall:.3f}s' if wall is not None else '-'):>9s}"
-            )
+        from repro.service.dashboard import render_status
+
+        print(render_status(response))
     if args.shutdown:
         client.shutdown()
         print("shutdown requested", file=sys.stderr)

@@ -20,7 +20,7 @@ un-instrumented workloads pay one ``None`` check per entry-point call.
 Record schema (``docs/observability.md`` has the worked example)::
 
     {
-      "schema": "repro.runlog/v2",
+      "schema": "repro.runlog/v3",
       "event": "<entry point: enumerate_outcomes | find_schedule |
                  estimate_manifestation | bug_report | cli | bench>",
       "ts": <unix seconds, float>,
@@ -55,7 +55,7 @@ __all__ = [
     "set_runlog",
 ]
 
-SCHEMA = "repro.runlog/v2"
+SCHEMA = "repro.runlog/v3"
 
 Sink = Union[str, Path, Callable[[Dict[str, Any]], None]]
 

@@ -5,15 +5,12 @@ service: submissions arrive over a local socket as JSON lines
 (:mod:`~repro.service.protocol`), pass a dedup ladder — persistent
 verdict cache (:mod:`~repro.service.resultcache`), then in-flight
 coalescing and admission control (:mod:`~repro.service.queue`) — and
-run on a forked process-pool fleet (:mod:`~repro.service.workers`)
-executing :func:`~repro.service.jobs.run_job` — or, under
-``repro serve --alloc ucb``, as bandit-allocated exploration slices
-(:mod:`~repro.service.slices`) that checkpoint and resume through
-:class:`~repro.sim.frontier.ExplorationFrontier`.  ``repro status``
-renders the :mod:`~repro.service.dashboard`.  ``docs/service.md`` is the
-handbook: protocol reference, job lifecycle, cache-key semantics, fleet
-sizing, and a walkthrough; ``docs/allocator.md`` covers slice
-scheduling.
+run in submission order on a forked process-pool fleet
+(:mod:`~repro.service.workers`), one :func:`~repro.service.jobs.run_job`
+dispatch per job.  ``repro status`` renders the
+:mod:`~repro.service.dashboard`.  ``docs/service.md`` is the handbook:
+protocol reference, job lifecycle, cache-key semantics, fleet sizing,
+and a walkthrough.
 """
 
 from repro.service.dashboard import Dashboard
@@ -27,18 +24,11 @@ from repro.service.jobs import (
     kernel_cache_key,
     run_job,
 )
-from repro.service.queue import (
-    ALLOC_POLICIES,
-    AdmissionError,
-    JobQueue,
-    ReproService,
-)
+from repro.service.queue import AdmissionError, JobQueue, ReproService
 from repro.service.resultcache import ResultCache
-from repro.service.slices import job_sliceable, run_slice
 from repro.service.workers import WorkerFleet, default_fleet_size
 
 __all__ = [
-    "ALLOC_POLICIES",
     "AdmissionError",
     "Dashboard",
     "Job",
@@ -52,8 +42,6 @@ __all__ = [
     "WorkerFleet",
     "cache_key",
     "default_fleet_size",
-    "job_sliceable",
     "kernel_cache_key",
     "run_job",
-    "run_slice",
 ]

@@ -5,20 +5,20 @@ counters of its own, so ``repro status`` (and the tests, and the CI
 smoke job) see exactly the numbers the scheduler maintains: submissions,
 completions, cache hits, coalesced submissions, the dedup ratio, total
 engine runs paid, queue depth, and the newest jobs with per-job
-submit-to-verdict latency.  ``as_dict`` is the machine surface
-(``repro status --json``); ``format`` is the human one.
+submit-to-verdict latency.  ``as_dict`` is the machine surface (the
+``status`` op, ``repro status --json``); :func:`render_status` turns
+that document into the human one, on either side of the socket.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
-from repro.service.jobs import Job
 from repro.service.queue import ReproService
 
-__all__ = ["Dashboard"]
+__all__ = ["Dashboard", "render_status"]
 
-SCHEMA = "repro.service.status/v1"
+SCHEMA = "repro.service.status/v2"
 
 
 class Dashboard:
@@ -41,7 +41,6 @@ class Dashboard:
                 "max_pending": service.queue.max_pending,
             },
             "queue_wait": service.queue_wait.as_dict(),
-            "alloc": self._alloc_dict(),
             "totals": {
                 "submissions": service.submissions,
                 "completed": service.jobs_completed,
@@ -55,58 +54,54 @@ class Dashboard:
             "jobs": [job.to_dict() for job in service.recent_jobs(self.job_limit)],
         }
 
-    def _alloc_dict(self) -> Dict[str, Any]:
-        """The allocation-policy section: policy always, arms under ucb."""
-        service = self.service
-        alloc: Dict[str, Any] = {"policy": service.alloc}
-        if service.alloc == "ucb":
-            summary = service.allocator.summary()
-            alloc["slice_budget"] = service.slice_budget
-            alloc["arms_total"] = summary["arms"]
-            alloc["arms_live"] = summary["live"]
-            alloc["pulls"] = summary["pulls"]
-            alloc["schedules"] = summary["schedules"]
-            alloc["arms"] = service.allocator.stats()
-        return alloc
-
     def format(self) -> str:
         """The ``repro status`` text rendering."""
-        service = self.service
-        wait = service.queue_wait
-        lines = [
-            f"repro service — up {service.uptime_seconds():.0f}s, "
-            f"fleet {service.fleet.size} ({service.fleet.mode}), "
-            f"alloc {service.alloc}, "
-            f"queue {len(service.queue)} pending / "
-            f"{service.queue.running} running",
-            f"  submissions {service.submissions}  "
-            f"completed {service.jobs_completed}  "
-            f"failed {service.jobs_failed}  "
-            f"cache hits {service.cache_hits}  "
-            f"coalesced {service.coalesced}  "
-            f"dedup {service.dedup_ratio():.0%}  "
-            f"engine runs {service.engine_runs}",
-            f"  queue wait: mean {wait.mean:.3f}s  "
-            f"max {(wait.maximum if wait.count else 0.0):.3f}s  "
-            f"over {wait.count} dispatched job(s)",
-            f"  cache: {service.cache.stats()['entries']} entries at "
-            f"{service.cache.root}",
-        ]
-        if service.alloc == "ucb" and len(service.allocator):
-            lines.append("")
-            lines.append(_arms_table(service.allocator.stats()))
-        jobs = service.recent_jobs(self.job_limit)
-        if jobs:
-            lines.append("")
-            lines.append(_jobs_table(jobs))
-        return "\n".join(lines)
+        return render_status(self.as_dict())
 
 
-def _verdict_cell(job: Job) -> str:
+def render_status(status: Dict[str, Any]) -> str:
+    """The ``repro status`` text for one :meth:`Dashboard.as_dict` document."""
+    fleet, queue = status["fleet"], status["queue"]
+    totals, wait = status["totals"], status["queue_wait"]
+    lines = [
+        f"repro service — up {status['uptime_seconds']:.0f}s, "
+        f"fleet {fleet['size']} ({fleet['mode']}), "
+        f"queue {queue['depth']} pending / {queue['running']} running",
+        f"  submissions {totals['submissions']}  "
+        f"completed {totals['completed']}  "
+        f"failed {totals['failed']}  "
+        f"cache hits {totals['cache_hits']}  "
+        f"coalesced {totals['coalesced']}  "
+        f"dedup {totals['dedup_ratio']:.0%}  "
+        f"engine runs {totals['engine_runs']}",
+        f"  queue wait: mean {wait['mean']:.3f}s  max {wait['max']:.3f}s  "
+        f"over {wait['count']} dispatched job(s)",
+        f"  cache: {status['cache']['entries']} entries at "
+        f"{status['cache']['path']}",
+    ]
+    if status["jobs"]:
+        header = (
+            f"  {'id':6s} {'kind':8s} {'kernel':26s} {'state':8s} "
+            f"{'src':7s} {'subs':>4s} {'runs':>6s} {'wall':>8s}  verdict"
+        )
+        lines += ["", header, "  " + "-" * (len(header) - 2)]
+        for job in status["jobs"]:
+            wall = job["wall_seconds"]
+            lines.append(
+                f"  {job['id']:6s} {job['kind']:8s} {job['kernel']:26s} "
+                f"{job['state']:8s} {'cache' if job['cached'] else 'fleet':7s} "
+                f"{job['submissions']:>4d} {job['engine_runs']:>6d} "
+                f"{(f'{wall:.3f}s' if wall is not None else '-'):>8s}  "
+                f"{_verdict_cell(job)}"
+            )
+    return "\n".join(lines)
+
+
+def _verdict_cell(job: Dict[str, Any]) -> str:
     """One-word verdict summary for the text table."""
-    if job.error is not None:
-        return job.error.split(":", 1)[0]
-    verdict: Optional[Dict[str, Any]] = job.verdict
+    if job["error"] is not None:
+        return job["error"].split(":", 1)[0]
+    verdict = job["verdict"]
     if verdict is None:
         return "-"
     kind = verdict.get("kind")
@@ -120,40 +115,7 @@ def _verdict_cell(job: Job) -> str:
         return f"{verdict.get('distinct_outcomes', 0)} outcomes"
     if kind == "static":
         return f"{verdict.get('candidates', 0)} candidates"
+    if kind == "source":
+        confirmed = f"{verdict.get('confirmed', 0)} confirmed"
+        return confirmed if verdict.get("clean") else confirmed + ", NOT-CLEAN"
     return "?"
-
-
-def _arms_table(arms: List[Dict[str, Any]]) -> str:
-    """Per-arm allocator stats for the ucb text dashboard."""
-    header = (
-        f"  {'arm':14s} {'strategy':14s} {'pulls':>5s} {'sched':>7s} "
-        f"{'payout':>8s} {'mean':>8s} {'finds':>5s}  state"
-    )
-    rows = [header, "  " + "-" * (len(header) - 2)]
-    for arm in arms:
-        rows.append(
-            f"  {arm['job']:14s} {arm['strategy']:14s} {arm['pulls']:>5d} "
-            f"{arm['schedules']:>7d} {arm['payout']:>8.2f} "
-            f"{arm['mean_payout']:>8.4f} {arm['findings']:>5d}  "
-            f"{'retired' if arm['retired'] else 'live'}"
-        )
-    return "\n".join(rows)
-
-
-def _jobs_table(jobs: List[Job]) -> str:
-    header = (
-        f"  {'id':6s} {'kind':8s} {'kernel':26s} {'state':8s} "
-        f"{'src':7s} {'subs':>4s} {'runs':>6s} {'wall':>8s}  verdict"
-    )
-    rows = [header, "  " + "-" * (len(header) - 2)]
-    for job in jobs:
-        wall = job.wall_seconds()
-        source = "cache" if job.cached else "fleet"
-        rows.append(
-            f"  {job.id:6s} {job.kind.value:8s} {job.kernel:26s} "
-            f"{job.state.value:8s} {source:7s} {job.submissions:>4d} "
-            f"{job.engine_runs:>6d} "
-            f"{(f'{wall:.3f}s' if wall is not None else '-'):>8s}  "
-            f"{_verdict_cell(job)}"
-        )
-    return "\n".join(rows)

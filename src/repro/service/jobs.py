@@ -38,12 +38,7 @@ __all__ = [
     "JobKind",
     "JobOptions",
     "JobState",
-    "VERDICT_BUILDERS",
     "cache_key",
-    "check_verdict",
-    "detect_verdict",
-    "exploration_setup",
-    "explore_verdict",
     "kernel_cache_key",
     "run_job",
     "source_cache_key",
@@ -255,16 +250,6 @@ class Job:
     error: Optional[str] = None
     #: Engine runs this job actually launched (0 for cached answers).
     engine_runs: int = 0
-    #: Dispatches this job took (1 under FIFO; >= 1 under sliced alloc).
-    slices: int = 0
-    #: Serialized exploration frontier between slices (hex pickle of an
-    #: :class:`~repro.sim.frontier.ExplorationFrontier`); ``None`` before
-    #: the first slice and after the terminal one.
-    frontier: Optional[str] = None
-    #: Cumulative schedule attempts charged to the allocator so far.
-    attempts_done: int = 0
-    #: Distinct outcomes seen by the end of the last slice (payout base).
-    outcomes_seen: int = 0
     submitted_ts: float = field(default_factory=time.time)
     started_ts: Optional[float] = None
     finished_ts: Optional[float] = None
@@ -292,20 +277,11 @@ class Job:
             "verdict": self.verdict,
             "error": self.error,
             "engine_runs": self.engine_runs,
-            "slices": self.slices,
             "wall_seconds": self.wall_seconds(),
         }
 
 
 # -- worker-side execution ---------------------------------------------------
-#
-# The exploration-backed kinds (check / detect / explore) are split into
-# three shareable pieces — explorer construction, the explore() call
-# arguments, and the verdict builder — so that the run-to-completion path
-# below and the sliced path in :mod:`repro.service.slices` are guaranteed
-# to produce bit-identical verdicts: both call exactly these functions,
-# differing only in whether ``slice_budget``/``frontier`` are threaded
-# through the ``explore()`` call.
 
 
 def _never(run: Any) -> bool:
@@ -313,54 +289,59 @@ def _never(run: Any) -> bool:
     return False
 
 
-def exploration_setup(
+def _run_exploration(
     kind: JobKind, kernel: Any, options: JobOptions
-) -> Tuple[Program, Any, Any, bool]:
-    """(program, explorer, predicate, stop_on_first) for one job.
+) -> Tuple[Dict[str, Any], int]:
+    """``check`` / ``detect`` / ``explore``: one serial search, its verdict.
 
-    Only valid for the exploration-backed kinds; ``static``/``source``
-    never build an explorer.
+    ``check`` mirrors ``BugKernel.verify_fixed``, ``detect`` mirrors
+    ``repro detect`` (find a manifesting trace, run the battery on it),
+    and ``explore`` enumerates the buggy program's terminal outcome set.
     """
     from repro.sim.explorer import make_explorer
 
     program = _target_program(kind, kernel, options)
-    if kind in (JobKind.CHECK, JobKind.DETECT):
-        explorer = make_explorer(
-            program, options.budget(kind), 5000, options.preemption_bound,
-            memoize=options.memoize, keep_matches=1,
-            reduction=options.reduction,
-        )
-        return program, explorer, kernel.failure, True
     if kind is JobKind.EXPLORE:
-        explorer = make_explorer(
+        from repro.obs.runlog import outcome_digest
+
+        result = make_explorer(
             program, options.budget(kind), 5000, options.preemption_bound,
             memoize=options.memoize, reduction=options.reduction,
-        )
-        return program, explorer, _never, False
-    raise JobError(f"job kind {kind.value!r} is not exploration-backed")
-
-
-def check_verdict(program: Program, result: Any) -> Dict[str, Any]:
-    """Verdict payload of a finished ``check`` exploration."""
-    return {
-        "kind": JobKind.CHECK.value,
-        "clean": bool(result.complete and not result.found),
-        "complete": result.complete,
-        "failures_found": result.match_count,
-    }
-
-
-def detect_verdict(program: Program, result: Any) -> Dict[str, Any]:
-    """Verdict payload of a finished ``detect`` exploration."""
-    from repro.detectors import DetectorSuite
-
-    verdict: Dict[str, Any] = {
-        "kind": JobKind.DETECT.value,
+        ).explore(predicate=_never)
+        verdict: Dict[str, Any] = {
+            "kind": kind.value,
+            "complete": result.complete,
+            "distinct_outcomes": len(result.outcomes),
+            "outcome_digest": outcome_digest(result.outcomes),
+            "statuses": {
+                status.value: count
+                for status, count in sorted(
+                    result.statuses.items(), key=lambda item: item[0].value
+                )
+            },
+        }
+        return verdict, result.schedules_run
+    result = make_explorer(
+        program, options.budget(kind), 5000, options.preemption_bound,
+        memoize=options.memoize, keep_matches=1, reduction=options.reduction,
+    ).explore(predicate=kernel.failure, stop_on_first=True)
+    if kind is JobKind.CHECK:
+        verdict = {
+            "kind": kind.value,
+            "clean": bool(result.complete and not result.found),
+            "complete": result.complete,
+            "failures_found": result.match_count,
+        }
+        return verdict, result.schedules_run
+    verdict = {
+        "kind": kind.value,
         "manifested": bool(result.matching),
         "flagged_by": [],
         "kinds": [],
     }
     if result.matching:
+        from repro.detectors import DetectorSuite
+
         failing = result.matching[0]
         suite_result = DetectorSuite.for_program(program).analyse(
             failing.trace
@@ -368,58 +349,7 @@ def detect_verdict(program: Program, result: Any) -> Dict[str, Any]:
         verdict["flagged_by"] = suite_result.flagged_by()
         verdict["kinds"] = sorted(k.value for k in suite_result.kinds_found())
         verdict["schedule"] = list(failing.schedule)
-    return verdict
-
-
-def explore_verdict(program: Program, result: Any) -> Dict[str, Any]:
-    """Verdict payload of a finished ``explore`` exploration."""
-    from repro.obs.runlog import outcome_digest
-
-    return {
-        "kind": JobKind.EXPLORE.value,
-        "complete": result.complete,
-        "distinct_outcomes": len(result.outcomes),
-        "outcome_digest": outcome_digest(result.outcomes),
-        "statuses": {
-            status.value: count
-            for status, count in sorted(
-                result.statuses.items(), key=lambda item: item[0].value
-            )
-        },
-    }
-
-
-VERDICT_BUILDERS = {
-    JobKind.CHECK: check_verdict,
-    JobKind.DETECT: detect_verdict,
-    JobKind.EXPLORE: explore_verdict,
-}
-
-
-def _run_exploration(
-    kind: JobKind, kernel: Any, options: JobOptions
-) -> Tuple[Dict[str, Any], int]:
-    """One-shot run of an exploration-backed kind."""
-    program, explorer, predicate, stop_on_first = exploration_setup(
-        kind, kernel, options
-    )
-    result = explorer.explore(predicate=predicate, stop_on_first=stop_on_first)
-    return VERDICT_BUILDERS[kind](program, result), result.schedules_run
-
-
-def _run_check(kernel: Any, options: JobOptions) -> Tuple[Dict[str, Any], int]:
-    """Exhaustive fix verification, mirroring ``BugKernel.verify_fixed``."""
-    return _run_exploration(JobKind.CHECK, kernel, options)
-
-
-def _run_detect(kernel: Any, options: JobOptions) -> Tuple[Dict[str, Any], int]:
-    """Find a manifesting trace and run the battery — ``repro detect``."""
-    return _run_exploration(JobKind.DETECT, kernel, options)
-
-
-def _run_explore(kernel: Any, options: JobOptions) -> Tuple[Dict[str, Any], int]:
-    """Enumerate the buggy program's terminal outcome set."""
-    return _run_exploration(JobKind.EXPLORE, kernel, options)
+    return verdict, result.schedules_run
 
 
 def _run_static(kernel: Any, options: JobOptions) -> Tuple[Dict[str, Any], int]:
@@ -460,14 +390,6 @@ def _run_source(path: str, options: JobOptions) -> Tuple[Dict[str, Any], int]:
     return verdict, sum(outcome.statuses.values())
 
 
-_RUNNERS = {
-    JobKind.CHECK: _run_check,
-    JobKind.DETECT: _run_detect,
-    JobKind.EXPLORE: _run_explore,
-    JobKind.STATIC: _run_static,
-}
-
-
 def run_job(
     kind_value: str, kernel_name: str, options_dict: Dict[str, Any]
 ) -> Dict[str, Any]:
@@ -494,7 +416,10 @@ def run_job(
 
     kernel = get_kernel(kernel_name)
     start = perf_counter()
-    verdict, engine_runs = _RUNNERS[kind](kernel, options)
+    if kind is JobKind.STATIC:
+        verdict, engine_runs = _run_static(kernel, options)
+    else:
+        verdict, engine_runs = _run_exploration(kind, kernel, options)
     return {
         "verdict": verdict,
         "engine_runs": engine_runs,

@@ -47,7 +47,7 @@ __all__ = [
     "start_server",
 ]
 
-SCHEMA = "repro.service/v1"
+SCHEMA = "repro.service/v2"
 
 #: Generous per-line cap: a request is a few hundred bytes, a response a
 #: few hundred KB at worst (a long jobs table); 8 MiB refuses abuse.

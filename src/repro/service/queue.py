@@ -29,9 +29,8 @@ import asyncio
 import itertools
 import time
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Set, Union
+from typing import Any, Deque, Dict, List, Optional, Union
 
-from repro.alloc.ucb import FINDING_BONUS, ArmKey, UCBAllocator
 from repro.obs import metrics as obs_metrics
 from repro.obs import runlog as obs_runlog
 from repro.obs.metrics import HistogramStats
@@ -47,21 +46,11 @@ from repro.service.jobs import (
 from repro.service.resultcache import ResultCache
 from repro.service.workers import WorkerFleet
 
-__all__ = ["ALLOC_POLICIES", "AdmissionError", "JobQueue", "ReproService"]
-
-#: Scheduling policies of ``repro serve --alloc``: ``fifo`` is the
-#: classic run-to-completion queue; ``ucb`` dispatches bandit-allocated
-#: exploration slices (``docs/allocator.md``).
-ALLOC_POLICIES = ("fifo", "ucb")
+__all__ = ["AdmissionError", "JobQueue", "ReproService"]
 
 
 class AdmissionError(JobError):
     """The backlog is full; the client should retry later."""
-
-
-def _verdict_is_finding(verdict: Dict[str, Any]) -> bool:
-    """Whether a terminal verdict counts as a bug finding for arm payout."""
-    return bool(verdict.get("manifested") or verdict.get("failures_found"))
 
 
 class JobQueue:
@@ -129,20 +118,10 @@ class ReproService:
         cache: Union[ResultCache, str],
         fleet: Optional[WorkerFleet] = None,
         max_pending: int = 256,
-        alloc: str = "fifo",
-        slice_budget: int = 400,
     ):
-        if alloc not in ALLOC_POLICIES:
-            raise ValueError(
-                f"alloc must be one of {', '.join(ALLOC_POLICIES)}, got {alloc!r}"
-            )
-        if slice_budget < 1:
-            raise ValueError(f"slice_budget must be >= 1, got {slice_budget}")
         self.cache = cache if isinstance(cache, ResultCache) else ResultCache(cache)
         self.fleet = fleet if fleet is not None else WorkerFleet()
         self.queue = JobQueue(max_pending=max_pending)
-        self.alloc = alloc
-        self.slice_budget = slice_budget
         self.jobs: Dict[str, Job] = {}
         self.started_ts = time.time()
         # Lifetime totals, read by the dashboard.
@@ -152,17 +131,9 @@ class ReproService:
         self.cache_hits = 0
         self.coalesced = 0
         self.engine_runs = 0
-        #: Submit-to-first-dispatch latency of dispatched (non-cached,
+        #: Submit-to-dispatch latency of dispatched (non-cached,
         #: non-coalesced) jobs; rendered by ``repro status``.
         self.queue_wait = HistogramStats()
-        #: The bandit behind ``alloc="ucb"``; arms are (job id, label).
-        self.allocator = UCBAllocator()
-        #: Jobs admitted to the allocator arena, by id (ucb mode only).
-        self._arena: Dict[str, Job] = {}
-        #: Arm key per arena job id.
-        self._arms: Dict[str, ArmKey] = {}
-        #: Arena job ids with a slice currently in flight.
-        self._dispatched: Set[str] = set()
         self._ids = itertools.count(1)
         self._wakeup = asyncio.Event()
         self._finished: Dict[str, asyncio.Event] = {}
@@ -305,10 +276,7 @@ class ReproService:
     # -- scheduling --------------------------------------------------------
 
     async def _scheduler(self) -> None:
-        """Dispatch work as slots free up, per the allocation policy."""
-        if self.alloc == "ucb":
-            await self._scheduler_ucb()
-            return
+        """Dispatch queued jobs in submission order as slots free up."""
         while not self._closing:
             job = self.queue.take()
             if job is None:
@@ -319,120 +287,21 @@ class ReproService:
             asyncio.create_task(self._run_one(job))
 
     async def _run_one(self, job: Job) -> None:
-        """FIFO path: run one job start-to-verdict on the fleet."""
+        """Run one job start-to-verdict on the fleet."""
         self._mark_started(job)
         try:
             payload = await self.fleet.run(job)
-            job.slices += 1
             self._complete(job, payload)
-        except Exception as exc:  # worker died, bad kernel state, ...
+        except Exception as exc:  # worker died twice, bad kernel state, ...
             self._fail(job, exc)
         finally:
             self._seal(job)
             self._slots.release()
 
-    # -- UCB slice scheduling ----------------------------------------------
-
-    async def _scheduler_ucb(self) -> None:
-        """Bandit loop: admit queued jobs as arms, dispatch slices.
-
-        Jobs leave the FIFO immediately and live in the *arena* until
-        their terminal slice; every dispatch is one allocator pull.  A
-        job has at most one slice in flight (its frontier is serial), so
-        in-flight arms are masked from selection rather than retired.
-        """
-        from repro.service.slices import job_sliceable
-
-        while not self._closing:
-            while True:
-                job = self.queue.take()
-                if job is None:
-                    break
-                label = job.kind.value + (
-                    "" if job_sliceable(job.kind, job.options) else ":whole"
-                )
-                key = self.allocator.add_arm(job.id, label)
-                self._arena[job.id] = job
-                self._arms[job.id] = key
-                obs_metrics.set_gauge("service.queue_depth", len(self.queue))
-            key = self.allocator.select(
-                exclude=[self._arms[jid] for jid in self._dispatched]
-            )
-            if key is not None:
-                await self._slots.acquire()
-                job = self._arena[key[0]]
-                self._dispatched.add(job.id)
-                asyncio.create_task(self._run_slice(job, key))
-                continue
-            # Nothing eligible: sleep until a submission or a slice
-            # completion sets the wakeup (re-check after clear to close
-            # the lost-wakeup window).
-            self._wakeup.clear()
-            if len(self.queue) or self.allocator.select(
-                exclude=[self._arms[jid] for jid in self._dispatched]
-            ) is not None:
-                continue
-            await self._wakeup.wait()
-
-    async def _run_slice(self, job: Job, key: ArmKey) -> None:
-        """One allocator pull: a frontier slice, or a whole unsliceable job."""
-        from repro.service.slices import job_sliceable
-
-        self._mark_started(job)
-        try:
-            if not job_sliceable(job.kind, job.options):
-                payload = await self.fleet.run(job)
-                job.slices += 1
-                spent = max(1, int(payload.get("engine_runs", 0)))
-                verdict = payload.get("verdict") or {}
-                finding = _verdict_is_finding(verdict)
-                self.allocator.record(
-                    key, spent,
-                    FINDING_BONUS if finding else 0.0,
-                    finding=finding,
-                )
-                self._complete(job, payload)
-            else:
-                payload = await self.fleet.run_slice(
-                    job, job.frontier, self.slice_budget
-                )
-                job.slices += 1
-                attempts = int(payload["attempts"])
-                spent = max(1, attempts - job.attempts_done)
-                job.attempts_done = attempts
-                outcomes = int(payload.get("distinct_outcomes", 0))
-                fresh = max(0, outcomes - job.outcomes_seen)
-                job.outcomes_seen = outcomes
-                verdict = payload.get("verdict")
-                finding = verdict is not None and _verdict_is_finding(verdict)
-                self.allocator.record(
-                    key, spent,
-                    float(fresh) + (FINDING_BONUS if finding else 0.0),
-                    finding=finding,
-                )
-                if verdict is not None:
-                    job.frontier = None
-                    self._complete(job, payload)
-                else:
-                    job.frontier = payload["frontier"]
-        except Exception as exc:
-            self._fail(job, exc)
-        finally:
-            self._dispatched.discard(job.id)
-            if job.finished:
-                self._arena.pop(job.id, None)
-                self._arms.pop(job.id, None)
-                self.allocator.retire_job(job.id)
-                self._seal(job)
-            self._slots.release()
-            self._wakeup.set()
-
-    # -- shared job lifecycle ----------------------------------------------
+    # -- job lifecycle -----------------------------------------------------
 
     def _mark_started(self, job: Job) -> None:
-        """First dispatch only: flip to RUNNING and record queue wait."""
-        if job.started_ts is not None:
-            return
+        """Flip to RUNNING and record the job's queue wait."""
         job.state = JobState.RUNNING
         job.started_ts = time.time()
         wait = job.started_ts - job.submitted_ts

@@ -9,6 +9,13 @@ start method and come back as plain dicts via
 :func:`repro.service.jobs.run_job`.  Each job runs one serial search, so
 the fleet's parallelism is across jobs.
 
+A worker process that dies (the OOM killer, a ``SIGKILL``) breaks the
+whole ``ProcessPoolExecutor``: its pending futures fail and it refuses
+every later submission.  :meth:`WorkerFleet.run` therefore replaces a
+broken pool once — however many of its jobs saw it break — counts the
+restart as ``service.worker_restarts``, and runs the job once more; a
+job that breaks the fresh pool too fails, like any other job error.
+
 Where ``fork`` is unavailable (or explicitly disabled with
 ``pool="none"``), the fleet degrades to a thread pool: verdicts are
 identical because :func:`run_job` is a pure function of its arguments;
@@ -28,9 +35,11 @@ import asyncio
 import multiprocessing
 import os
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from typing import Any, Dict, Optional
 
+from repro.obs import metrics as obs_metrics
 from repro.service.jobs import Job, run_job
 
 __all__ = ["WorkerFleet", "default_fleet_size"]
@@ -108,44 +117,33 @@ class WorkerFleet:
 
         Only primitives cross the executor boundary (kind value, kernel
         name, options dict), so the same call works for forked processes
-        and inline threads.
+        and inline threads.  A job whose pool breaks runs once more on
+        the replacement; a second break raises ``BrokenProcessPool``.
         """
+        try:
+            return await self._submit(job)
+        except BrokenProcessPool:
+            return await self._submit(job)
+
+    async def _submit(self, job: Job) -> Dict[str, Any]:
         self.start()
-        assert self._executor is not None
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._executor,
-            partial(
-                run_job, job.kind.value, job.kernel, job.options.to_dict()
-            ),
-        )
-
-    async def run_slice(
-        self, job: Job, frontier_hex: Optional[str], slice_budget: int
-    ) -> Dict[str, Any]:
-        """Advance ``job`` by one exploration slice on the fleet.
-
-        Same boundary rules as :meth:`run` — primitives in, a plain dict
-        out — but backed by :func:`repro.service.slices.run_slice`, so
-        the payload is either a checkpointed frontier or the terminal
-        verdict.
-        """
-        from repro.service.slices import run_slice
-
-        self.start()
-        assert self._executor is not None
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._executor,
-            partial(
-                run_slice,
-                job.kind.value,
-                job.kernel,
-                job.options.to_dict(),
-                frontier_hex or "",
-                slice_budget,
-            ),
-        )
+        executor = self._executor
+        assert executor is not None
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                executor,
+                partial(
+                    run_job, job.kind.value, job.kernel, job.options.to_dict()
+                ),
+            )
+        except BrokenProcessPool:
+            # Every job pending on the broken pool fails with it: replace
+            # the pool once, not once per failed job.
+            if self._executor is executor:
+                self._executor = None
+                executor.shutdown(wait=False)
+                obs_metrics.inc("service.worker_restarts")
+            raise
 
     def describe(self) -> Dict[str, Any]:
         """Dashboard-ready fleet description."""

@@ -1,14 +1,15 @@
-"""Serializable exploration checkpoints: pause a search, resume it later.
+"""In-process exploration checkpoints: pause a search, resume it later.
 
 A depth-first search over schedules is fully described by its **pending
 stack** — the prefixes (plus per-entry bookkeeping) not yet expanded —
 together with the cumulative result already collected and, under
 ``memoize=True``, the set of state fingerprints already expanded.
-:class:`ExplorationFrontier` captures exactly that, as plain picklable
-data, so an exploration can stop after a *slice* of its schedule budget
-and a later call (in the same process, or a different worker after a
-round-trip through :meth:`ExplorationFrontier.to_bytes`) resumes at the
-precise node the slice stopped on.
+:class:`ExplorationFrontier` captures exactly that, so an exploration
+can stop after a *slice* of its schedule budget and a later call in the
+same process resumes at the precise node the slice stopped on.  The
+one consumer is the adaptive strategy race
+(:mod:`repro.alloc.adaptive`), which interleaves slices of its
+systematic arms with its samplers; a frontier never leaves the process.
 
 The cumulative result travels as the provisional
 :class:`~repro.sim.explorer.ExplorationResult` itself (``result``).  A
@@ -37,12 +38,12 @@ Which explorers can checkpoint:
 What is *refused*, each with a :class:`ValueError` the tests assert:
 
 * a streaming detector pipeline (snapshots hold live analysis state
-  that must not cross a serialization boundary);
+  that must not cross a checkpoint boundary);
 * DPOR (:mod:`repro.sim.dpor`) — its backtrack sets are discovered
   *behind* the DFS position, so a truncated pending stack
-  under-approximates the remaining work; the service falls back to
-  restart-with-doubled-budget instead (``docs/allocator.md`` documents
-  the trade).
+  under-approximates the remaining work; a DPOR search that runs out
+  of budget is re-run with a larger one instead (``docs/allocator.md``
+  documents the trade).
 
 Randomized strategies (random / PCT sampling in the estimator and the
 allocator) do not need a frontier at all: they resume by **seed
@@ -51,7 +52,6 @@ offset** — run seeds ``[k, k+n)`` now, ``[k+n, ...)`` later.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
@@ -135,33 +135,3 @@ class ExplorationFrontier:
         cache.hits = hits
         cache.lookups = lookups
         return cache
-
-    # -- serialization ------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Pickle this frontier for a worker round-trip or persistence.
-
-        Everything inside is plain data: prefixes are thread-name lists,
-        fingerprints are nested tuples of atoms, and the carried result's
-        ``matching`` runs are plain run results.
-        """
-        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "ExplorationFrontier":
-        frontier = pickle.loads(blob)
-        if not isinstance(frontier, cls):
-            raise ValueError(
-                f"blob does not decode to an ExplorationFrontier "
-                f"(got {type(frontier).__name__})"
-            )
-        return frontier
-
-    def summary(self) -> str:
-        """One-line rendering for logs and dashboards."""
-        return (
-            f"{self.program} [{self.explorer}]: {len(self.pending)} pending "
-            f"prefixes after {self.attempts} attempts, "
-            f"{self.result.schedules_run} schedules run"
-        )
-

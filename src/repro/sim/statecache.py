@@ -406,9 +406,8 @@ class StateCache:
     def export_state(self) -> Tuple[set, int, int]:
         """Snapshot for a frontier checkpoint: ``(seen, hits, lookups)``.
 
-        Fingerprints are nested tuples of atoms, so the snapshot pickles
-        cleanly; :meth:`repro.sim.frontier.ExplorationFrontier.
-        restore_cache` rebuilds an equivalent cache from it.
+        :meth:`repro.sim.frontier.ExplorationFrontier.restore_cache`
+        rebuilds an equivalent cache from it.
         """
         return (set(self._seen), self.hits, self.lookups)
 

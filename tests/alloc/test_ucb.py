@@ -11,8 +11,7 @@ class TestRegistration:
         alloc = UCBAllocator()
         key = alloc.add_arm("j1", "dfs")
         assert key == ("j1", "dfs")
-        assert key in alloc
-        assert len(alloc) == 1
+        assert [stats.key for stats in alloc.arms()] == [key]
         assert alloc.arm(key).pulls == 0
 
     def test_duplicate_arm_rejected(self):
@@ -20,11 +19,6 @@ class TestRegistration:
         alloc.add_arm("j1", "dfs")
         with pytest.raises(ValueError, match="already registered"):
             alloc.add_arm("j1", "dfs")
-
-    def test_meta_is_kept_per_arm(self):
-        alloc = UCBAllocator()
-        key = alloc.add_arm("j1", "dfs", kernel="abba")
-        assert alloc.arm(key).meta == {"kernel": "abba"}
 
     def test_negative_exploration_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
@@ -62,14 +56,6 @@ class TestSelection:
             alloc.record(rich, 2, 1.0)  # rich's mean stays ~0.5
         else:
             pytest.fail("starved arm was never revisited")
-
-    def test_exclude_masks_without_touching_stats(self):
-        alloc = UCBAllocator()
-        a = alloc.add_arm("j", "a")
-        b = alloc.add_arm("j", "b")
-        assert alloc.select(exclude=[a]) == b
-        assert alloc.select(exclude=[a, b]) is None
-        assert alloc.arm(a).pulls == 0  # masking is not a pull
 
     def test_ties_break_by_registration_order(self):
         alloc = UCBAllocator()
@@ -112,7 +98,6 @@ class TestFeedback:
         assert stats.schedules == 10
         assert stats.payout == pytest.approx(26.5)
         assert stats.findings == 1
-        assert stats.last_payout == 25.0
         assert stats.mean_payout == pytest.approx(2.65)
         assert alloc.total_pulls == 2
         assert alloc.total_schedules == 10
@@ -144,7 +129,7 @@ class TestFeedback:
 
 
 class TestReporting:
-    def test_stats_and_summary_shapes(self):
+    def test_stats_shape(self):
         alloc = UCBAllocator()
         key = alloc.add_arm("job", "dfs")
         alloc.record(key, 4, 2.0, finding=True)
@@ -158,13 +143,6 @@ class TestReporting:
             "mean_payout": 0.5,
             "findings": 1,
             "retired": False,
-        }
-        assert alloc.summary() == {
-            "arms": 1,
-            "live": 1,
-            "pulls": 1,
-            "schedules": 4,
-            "exploration": alloc.exploration,
         }
 
     def test_mean_payout_zero_before_first_pull(self):

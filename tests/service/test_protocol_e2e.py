@@ -219,82 +219,6 @@ def test_serve_all_kernels_with_dedup_and_shutdown(tmp_path):
     assert out["shutdown"] == {"ok": True, "stopping": True}
 
 
-def test_serve_all_kernels_under_ucb_allocation(tmp_path):
-    """The FIFO e2e above, re-run under ``--alloc ucb`` slice dispatch.
-
-    A deliberately small slice budget forces real checkpoint/requeue
-    cycles through the fork pool, yet every verdict must stay
-    bit-identical to the one-shot detect path, and the duplicate round
-    must still be answered entirely from the cache (zero engine runs).
-    """
-    names = kernel_names()
-
-    async def main():
-        sock = tmp_path / "svc.sock"
-        service = ReproService(
-            ResultCache(tmp_path / "cache"),
-            fleet=WorkerFleet(size=4),
-            alloc="ucb",
-            slice_budget=10,
-        )
-        serve_task = asyncio.create_task(serve(service, socket_path=sock))
-        await _wait_for_socket(sock)
-
-        def submit(name):
-            return request_once(
-                {
-                    "op": "submit",
-                    "kind": "detect",
-                    "kernel": name,
-                    "wait": True,
-                    "timeout": SUBMIT_TIMEOUT,
-                },
-                socket_path=sock,
-            )
-
-        first = await asyncio.gather(*(submit(name) for name in names))
-        second = await asyncio.gather(*(submit(name) for name in names))
-        status = await request_once({"op": "status"}, socket_path=sock)
-        await request_once({"op": "shutdown"}, socket_path=sock)
-        await asyncio.wait_for(serve_task, timeout=60)
-        return first, second, status
-
-    first, second, status = asyncio.run(main())
-
-    expected = _expected_detect_verdicts(names)
-    for name, response in zip(names, first):
-        assert response["ok"], response
-        job = response["job"]
-        assert job["state"] == "done" and not job["cached"]
-        assert job["slices"] >= 1
-        verdict = job["verdict"]
-        assert verdict["manifested"] is True, name
-        assert verdict["flagged_by"] == expected[name]["flagged_by"], name
-        assert verdict["kinds"] == expected[name]["kinds"], name
-        assert verdict["schedule"] == expected[name]["schedule"], name
-
-    # Duplicate round: fully cache-answered, no allocator involvement.
-    first_by_name = {job["job"]["kernel"]: job["job"] for job in first}
-    for name, response in zip(names, second):
-        job = response["job"]
-        assert job["cached"] is True, name
-        assert job["engine_runs"] == 0, name
-        assert job["verdict"] == first_by_name[name]["verdict"], name
-
-    totals = status["totals"]
-    assert totals["cache_hits"] == len(names)
-    assert totals["failed"] == 0
-    alloc = status["alloc"]
-    assert alloc["policy"] == "ucb"
-    assert alloc["slice_budget"] == 10
-    assert alloc["arms_total"] == len(names)  # one retired arm per job
-    assert alloc["arms_live"] == 0
-    assert alloc["pulls"] >= len(names)
-    # Every arm is a detect exploration and every job's bug was found.
-    assert all(row["strategy"] == "detect" for row in alloc["arms"])
-    assert all(row["findings"] == 1 for row in alloc["arms"])
-
-
 def test_tcp_transport_roundtrip(tmp_path):
     """The loopback TCP fallback speaks the same protocol."""
 

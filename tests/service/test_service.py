@@ -26,6 +26,7 @@ from repro.service import (
     WorkerFleet,
     run_job,
 )
+from repro.service.dashboard import render_status
 from repro.service.jobs import Job, JobOptions
 
 
@@ -338,6 +339,66 @@ def test_dashboard_reflects_service_state(tmp_path):
     text = Dashboard(service).format()
     assert "cache hits 1" in text
     assert "outcomes" in text  # the explore verdict cell
+
+
+def test_status_text_shows_source_verdicts(tmp_path, monkeypatch, capsys):
+    """``repro status`` prints the dashboard's one text rendering, and
+    its verdict cell reads a ``source`` job like ``repro submit`` does:
+    the confirmed count and NOT-CLEAN."""
+    from repro import cli
+
+    buggy = str(
+        Path(__file__).resolve().parents[2]
+        / "examples" / "realworld" / "use_before_init_buggy.py"
+    )
+
+    async def main():
+        service = _service(tmp_path)
+        await service.start()
+        try:
+            job = service.submit("source", buggy, {"max_schedules": 200})
+            await _finished(service, job)
+        finally:
+            await service.close()
+        return job, service
+
+    job, service = asyncio.run(main())
+    snapshot = {"ok": True, **Dashboard(service).as_dict()}
+
+    class Client:
+        def status(self):
+            return snapshot
+
+    monkeypatch.setattr(cli, "_client", lambda args: Client())
+    assert cli.main(["status"]) == 0
+    printed = capsys.readouterr().out
+    assert printed == render_status(snapshot) + "\n"
+    (row,) = [
+        line for line in printed.splitlines()
+        if line.strip().startswith(job.id)
+    ]
+    assert job.verdict["confirmed"] >= 1
+    assert row.endswith(f"{job.verdict['confirmed']} confirmed, NOT-CLEAN")
+    assert Dashboard(service).format().splitlines()[-1] == row
+
+
+def test_fifo_also_populates_queue_wait(tmp_path):
+    async def main():
+        service = _service(tmp_path)
+        await service.start()
+        try:
+            jobs = [
+                service.submit("detect", "atomicity_lost_update"),
+                service.submit("check", "order_lost_wakeup"),
+            ]
+            for job in jobs:
+                await service.wait(job.id, timeout=120)
+        finally:
+            await service.close()
+        return service
+
+    service = asyncio.run(main())
+    assert service.queue_wait.as_dict()["count"] == 2
 
 
 def test_queue_invariants():

@@ -1,9 +1,8 @@
 """Sliced resumable exploration: the sliced ≡ unsliced contract.
 
 The frontier layer's core promise (``src/repro/sim/frontier.py``): an
-exploration cut into arbitrary slices — each slice optionally
-round-tripped through ``ExplorationFrontier.to_bytes`` as the service
-scheduler does between worker pulls — produces a terminal result
+exploration cut into arbitrary slices, each resumed on a fresh explorer
+as the adaptive race does between pulls, produces a terminal result
 *identical* to one unsliced ``explore()`` call: same outcome multiset,
 statuses, schedule counts, first-finding index, and cache counters.
 Property-tested over the generated corpus for both sliceable searches
@@ -13,18 +12,14 @@ and preemption bounds; the explorers that refuse slicing refuse loudly.
 
 from __future__ import annotations
 
-import pickle
+import copy
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import (
-    DPORExplorer,
-    ExplorationFrontier,
-    Explorer,
-    SleepSetExplorer,
-)
+from repro.sim import DPORExplorer, Explorer, SleepSetExplorer
 from repro.sim.frontier import SLICEABLE_EXPLORERS
 from tests import helpers
 from tests.helpers import corpus_programs
@@ -36,18 +31,14 @@ def explore_sliced(
     explorer_factory,
     slice_budget,
     *,
-    roundtrip=False,
     predicate=None,
     stop_on_first=False,
     max_slices=10_000,
 ):
     """Drive an exploration slice by slice until the terminal result.
 
-    ``roundtrip=True`` serializes the frontier between slices — the
-    exact path a checkpoint takes through the service scheduler — so
-    the property also pins that nothing is lost crossing ``to_bytes``.
-    A fresh explorer instance per slice mirrors the service too: each
-    slice may land on a different worker process.
+    A fresh explorer instance per slice pins that everything the search
+    needs to go on travels in the frontier, not in the explorer.
     """
     frontier = None
     slices = 0
@@ -63,8 +54,6 @@ def explore_sliced(
         if result.frontier is None:
             return result, slices
         frontier = result.frontier
-        if roundtrip:
-            frontier = ExplorationFrontier.from_bytes(frontier.to_bytes())
         assert slices < max_slices, "sliced exploration failed to terminate"
 
 
@@ -96,7 +85,6 @@ class TestSlicedEqualsUnsliced:
         sliced, slices = explore_sliced(
             lambda: Explorer(program, memoize=memoize),
             slice_budget,
-            roundtrip=True,
         )
         assert_results_equal(sliced, whole)
         # Tiny slices against a multi-schedule space must actually pause.
@@ -114,7 +102,6 @@ class TestSlicedEqualsUnsliced:
         sliced, _ = explore_sliced(
             lambda: SleepSetExplorer(program, memoize=memoize),
             slice_budget,
-            roundtrip=True,
         )
         assert_results_equal(sliced, whole)
 
@@ -127,7 +114,6 @@ class TestSlicedEqualsUnsliced:
             lambda: Explorer(program, keep_matches=1),
             slice_budget,
             stop_on_first=True,
-            roundtrip=True,
         )
         assert sliced.match_count == whole.match_count
         assert sliced.first_match_schedule == whole.first_match_schedule
@@ -140,7 +126,7 @@ class TestSlicedEqualsUnsliced:
         program = helpers.racy_counter(threads=3)
         whole = Explorer(program, preemption_bound=1).explore()
         sliced, slices = explore_sliced(
-            lambda: Explorer(program, preemption_bound=1), 3, roundtrip=True
+            lambda: Explorer(program, preemption_bound=1), 3
         )
         assert_results_equal(sliced, whole)
         assert sliced.preemptions_spent == whole.preemptions_spent
@@ -152,7 +138,7 @@ class TestSlicedEqualsUnsliced:
         whole = Explorer(program, max_schedules=10).explore()
         assert not whole.complete
         sliced, _ = explore_sliced(
-            lambda: Explorer(program, max_schedules=10), 3, roundtrip=True
+            lambda: Explorer(program, max_schedules=10), 3
         )
         assert sliced.schedules_run == whole.schedules_run == 10
         assert not sliced.complete
@@ -165,16 +151,6 @@ class TestFrontierObject:
         ).explore(slice_budget=2)
         assert result.frontier is not None
         return result.frontier
-
-    def test_pickle_roundtrip_preserves_everything(self):
-        frontier = self._paused(memoize=True)
-        clone = ExplorationFrontier.from_bytes(frontier.to_bytes())
-        assert clone.explorer == frontier.explorer
-        assert clone.program == frontier.program
-        assert clone.pending == frontier.pending
-        assert clone.attempts == frontier.attempts
-        assert clone.result.outcomes == frontier.result.outcomes
-        assert clone.cache_state == frontier.cache_state
 
     def test_resume_leaves_frontier_and_provisional_result_unchanged(self):
         """A frontier carries its result by value: resuming it twice
@@ -196,24 +172,25 @@ class TestFrontierObject:
                 result.cache_lookups, result.wall_seconds,
             )
 
+        def probe(frontier):
+            """The frontier as comparable data: traces become event lists."""
+            runs = [
+                (replace(run, trace=None), list(run.trace))
+                for run in frontier.result.matching
+            ]
+            result = replace(frontier.result, matching=[])
+            return replace(frontier, result=result), runs
+
         paused = explorer().explore(predicate=match_all, slice_budget=2)
         assert paused.frontier is not None and paused.matching
-        blob, before = paused.frontier.to_bytes(), tallies(paused)
+        saved = probe(copy.deepcopy(paused.frontier))
+        before = tallies(paused)
         first = explorer().explore(predicate=match_all, frontier=paused.frontier)
         second = explorer().explore(predicate=match_all, frontier=paused.frontier)
         assert_results_equal(first, second)
         assert_results_equal(first, explorer().explore(predicate=match_all))
-        assert paused.frontier.to_bytes() == blob
+        assert probe(paused.frontier) == saved
         assert tallies(paused) == before
-
-    def test_from_bytes_rejects_foreign_pickles(self):
-        with pytest.raises(ValueError, match="ExplorationFrontier"):
-            ExplorationFrontier.from_bytes(pickle.dumps({"not": "a frontier"}))
-
-    def test_summary_mentions_pending_work(self):
-        frontier = self._paused()
-        assert "pending" in frontier.summary()
-        assert "racy-counter" in frontier.summary()
 
     def test_check_rejects_wrong_explorer_kind(self):
         frontier = self._paused()

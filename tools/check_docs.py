@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs/code consistency gate (run in CI).
 
-Three checks, all against the working tree:
+Four checks, all against the working tree:
 
 1. **Module coverage** — every ``.py`` module under ``src/repro/`` must
    be mentioned by filename in ``docs/architecture.md`` (the one-page
@@ -18,7 +18,10 @@ Three checks, all against the working tree:
 2. **CLI flag coverage** — every ``--flag`` defined in
    ``src/repro/cli.py`` must appear in at least one docs page
    (``docs/*.md`` or ``README.md``).
-3. **Link integrity** — every relative markdown link in ``docs/*.md``
+3. **No stale flags** — every ``--flag`` in the flags column of the
+   ``docs/architecture.md`` command table must be defined in
+   ``src/repro/cli.py``, so a deleted flag cannot linger there.
+4. **Link integrity** — every relative markdown link in ``docs/*.md``
    and ``README.md`` must resolve to an existing file.
 
 Exit status 0 when clean; 1 with one line per problem otherwise.
@@ -55,6 +58,9 @@ STATIC_PIPELINE_MODULES = ("static.pysource", "static.lift")
 #: Markdown inline links: [text](target), ignoring images and code spans.
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"\"(--[a-z][a-z0-9-]*)\"")
+DOC_FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
+#: The header row of the command table in docs/architecture.md.
+COMMAND_TABLE_HEADER = "| command | flags | does |"
 
 
 def check_modules(problems: list) -> None:
@@ -113,8 +119,7 @@ def check_modules(problems: list) -> None:
 
 
 def check_cli_flags(problems: list) -> None:
-    cli_source = (SRC / "cli.py").read_text(encoding="utf-8")
-    flags = sorted(set(FLAG_RE.findall(cli_source)))
+    flags = sorted(cli_flags())
     if not flags:
         problems.append("tools/check_docs.py: found no --flags in cli.py (regex broken?)")
     pages = sorted(DOCS.glob("*.md")) + [REPO / "README.md"]
@@ -125,6 +130,42 @@ def check_cli_flags(problems: list) -> None:
                 f"cli.py flag {flag} is documented in no docs page "
                 f"(docs/*.md, README.md)"
             )
+
+
+def cli_flags() -> set:
+    """Every ``--flag`` that ``src/repro/cli.py`` defines."""
+    return set(FLAG_RE.findall((SRC / "cli.py").read_text(encoding="utf-8")))
+
+
+def stale_table_flags(tour: str, defined: set) -> list:
+    """``(command, flag)`` for each flag in the command table's flags
+    column of ``tour`` that is not in ``defined``."""
+    stale = []
+    rows = tour.split(COMMAND_TABLE_HEADER, 1)[1].splitlines()[2:]
+    for row in rows:
+        if not row.startswith("|"):
+            break  # the table ends at its first non-row line
+        command, flags = row.split("|")[1:3]
+        stale += [
+            (command.strip(), flag)
+            for flag in DOC_FLAG_RE.findall(flags) if flag not in defined
+        ]
+    return stale
+
+
+def check_command_table(problems: list) -> None:
+    tour = ARCHITECTURE.read_text(encoding="utf-8")
+    if COMMAND_TABLE_HEADER not in tour:
+        problems.append(
+            f"{ARCHITECTURE.relative_to(REPO)}: no command table "
+            f"(header {COMMAND_TABLE_HEADER!r})"
+        )
+        return
+    for command, flag in stale_table_flags(tour, cli_flags()):
+        problems.append(
+            f"{ARCHITECTURE.relative_to(REPO)}: command table lists {flag} "
+            f"for {command}, but cli.py defines no such flag"
+        )
 
 
 def check_links(problems: list) -> None:
@@ -144,13 +185,17 @@ def main() -> int:
     problems: list = []
     check_modules(problems)
     check_cli_flags(problems)
+    check_command_table(problems)
     check_links(problems)
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
         print(f"check_docs: {len(problems)} problem(s)", file=sys.stderr)
         return 1
-    print("check_docs: architecture tour, CLI flags, and links all consistent")
+    print(
+        "check_docs: architecture tour, CLI flags, command table, and links "
+        "all consistent"
+    )
     return 0
 
 
