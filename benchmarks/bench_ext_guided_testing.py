@@ -2,8 +2,10 @@
 
 Quantifies the testing implication on every kernel.  Expected shape:
 
-* cooperative (non-preemptive) scheduling: 0% on every kernel except the
-  always-deadlocking self re-acquisition — the bugs need preemption;
+* cooperative (non-preemptive) scheduling: 0% on every kernel that
+  needs a preemption; the four that need none (a self re-acquisition, a
+  parent that finishes before its child starts, a select-driven server
+  and a TSO store buffer) manifest at bound 0 too;
 * random and PCT: low, kernel-dependent rates;
 * enforcing the recorded ≤4-access order: 100% on every kernel.
 
@@ -36,14 +38,31 @@ def test_strategy_comparison(benchmark):
             f"  {name:26s} {r['cooperative']:>6.0%} {r['random']:>8.1%} "
             f"{r['pct']:>8.1%} {r['enforced']:>9.0%}"
         )
-    # Kernels that need zero preemptions manifest even cooperatively: the
-    # self-deadlock (single thread) and the teardown order violation
-    # (the parent runs to completion before its child ever starts).
-    zero_preemption = {"deadlock_self", "order_teardown_use"}
+    # Kernels that need zero preemptions manifest even cooperatively, each
+    # for its own reason; a bound-0 search must manifest every one.
+    zero_preemption = {
+        "deadlock_self": "a single thread re-acquires its own lock",
+        "order_teardown_use": (
+            "the parent runs to completion before its child ever starts"
+        ),
+        "actor_mailbox_order": (
+            "the server blocks in Select, and whichever sender runs next "
+            "decides, with no preemption"
+        ),
+        "weakmem_store_buffer": "store buffers reorder without a preemption",
+    }
+    kernels = {kernel.name: kernel for kernel in all_kernels()}
     for name, r in rates.items():
         assert r["enforced"] == 1.0, name
-        if name not in zero_preemption:
+        if name in zero_preemption:
+            kernel = kernels[name]
+            bounded = Explorer(kernel.buggy, preemption_bound=0).explore(
+                predicate=kernel.failure, stop_on_first=True
+            )
+            assert bounded.found, (name, zero_preemption[name])
+        else:
             assert r["cooperative"] == 0.0, name
+        if name != "deadlock_self":  # fails on every schedule
             assert r["random"] < 1.0, name
 
 

@@ -11,9 +11,9 @@ next slice on the arm with the best upper confidence bound:
 * :mod:`repro.alloc.ucb` — the UCB1 allocator, with ``alloc.*``
   metrics and runlog records;
 * :mod:`repro.alloc.adaptive` — the racing harness: one program, four
-  arms (sliced DFS / sliced sleep-set via in-process
-  :mod:`repro.sim.frontier` checkpoints; random / PCT sampling by seed
-  offset), spending until the first finding or a total budget.
+  arms (DFS / sleep sets, each a paused ``attempts()`` search; random /
+  PCT sampling by seed offset), spending until the first finding or a
+  total budget.
 
 Consumers: the estimator's ``adaptive`` row and
 ``benchmarks/bench_alloc.py``, both of which race strategies *within a

@@ -6,11 +6,12 @@ advance which strategy is right*?"  It registers one bandit arm per
 strategy and lets :class:`repro.alloc.ucb.UCBAllocator` decide where
 every slice of schedules goes:
 
-* ``dfs`` / ``sleepset`` — sliced systematic search.  Each pull runs one
-  slice of the explorer and checkpoints the pending stack in an
-  :class:`repro.sim.frontier.ExplorationFrontier`; the next pull resumes
-  exactly where the slice stopped, so no schedule is ever re-run.  An
-  arm whose search drains its state space without a finding is retired.
+* ``dfs`` / ``sleepset`` — sliced systematic search.  Each arm holds one
+  paused :meth:`~repro.sim.explorer.Explorer.attempts` generator, and a
+  pull takes up to one slice of attempts from it; the next pull resumes
+  exactly where the last one stopped, so no schedule is ever re-run.
+  An arm whose search drains its state space without a finding is
+  retired.
 * ``random`` / ``pct`` — seeded sampling.  Each pull runs the next block
   of seeds (resume-by-seed-offset), so the sequence of runs is identical
   to an uninterrupted loop over ``range(n)``.
@@ -106,7 +107,11 @@ class _Pull:
 
 
 class _SlicedSearchArm:
-    """A systematic explorer advanced one frontier slice per pull."""
+    """A systematic search advanced up to one slice of attempts per pull.
+
+    The paused :meth:`~repro.sim.explorer.Explorer.attempts` generator is
+    the whole checkpoint: each pull resumes it where the last one stopped.
+    """
 
     def __init__(
         self,
@@ -117,43 +122,33 @@ class _SlicedSearchArm:
         max_steps: int,
         memoize: bool,
     ):
-        self.strategy = strategy
-        self.failure = failure
         if strategy == "dfs":
-            self.explorer: Any = Explorer(
-                program, max_schedules=max_total, max_steps=max_steps,
-                keep_matches=1, memoize=memoize,
-            )
+            explorer_class: Any = Explorer
         elif strategy == "sleepset":
-            self.explorer = SleepSetExplorer(
-                program, max_schedules=max_total, max_steps=max_steps,
-                keep_matches=1, memoize=memoize,
-            )
+            explorer_class = SleepSetExplorer
         else:  # pragma: no cover - guarded by the caller
             raise ValueError(f"not a sliced search strategy: {strategy!r}")
-        self.frontier: Any = None
-        self._attempts = 0
-
-    def pull(self, slice_budget: int) -> "_Pull":
-        """Run one slice; checkpoint the frontier for the next pull."""
-        result = self.explorer.explore(
-            predicate=self.failure,
-            stop_on_first=True,
-            slice_budget=slice_budget,
-            frontier=self.frontier,
+        explorer = explorer_class(
+            program, max_schedules=max_total, max_steps=max_steps,
+            keep_matches=1, memoize=memoize,
         )
-        self.frontier = result.frontier
-        attempts = result.schedules_run + result.cache_hits
-        if self.strategy == "sleepset":
-            attempts += self.explorer.pruned_runs
-        spent = max(1, attempts - self._attempts)
-        self._attempts = attempts
+        self._search = explorer.attempts(failure, stop_on_first=True)
+
+    def pull(self, budget: int) -> "_Pull":
+        """Run up to ``budget`` attempts; stop early if the search ends."""
+        ended = False
+        for spent in range(1, max(1, budget) + 1):
+            try:
+                result = next(self._search)
+            except StopIteration as end:
+                result, ended = end.value, True
+                break
         witness = result.matching[0] if result.match_count else None
-        # A terminal slice (no frontier) with no finding means the search
-        # drained its state space or hit the global cap: retire the arm.
-        # A *complete* drain is stronger — the whole bounded interleaving
-        # space holds no failure, so the entire race can stop.
-        exhausted = self.frontier is None and witness is None
+        # A search that ended without a finding drained its state space or
+        # hit the global cap: retire the arm.  A *complete* drain is
+        # stronger — the whole bounded interleaving space holds no
+        # failure, so the entire race can stop.
+        exhausted = ended and witness is None
         proven_clean = exhausted and result.complete
         return _Pull(spent, list(result.outcomes), witness, exhausted, proven_clean)
 
@@ -188,12 +183,12 @@ class _SamplerArm:
         else:  # pragma: no cover - guarded by the caller
             raise ValueError(f"not a sampler strategy: {strategy!r}")
 
-    def pull(self, slice_budget: int) -> _Pull:
-        """Run the next ``slice_budget`` seeds; stop early on a finding."""
+    def pull(self, budget: int) -> _Pull:
+        """Run the next ``budget`` seeds; stop early on a finding."""
         spent = 0
         outcomes: List[Tuple] = []
         witness: Optional[RunResult] = None
-        for offset in range(self.next_offset, self.next_offset + slice_budget):
+        for offset in range(self.next_offset, self.next_offset + budget):
             run = run_program(
                 self.program,
                 self._factory(self.seed + offset),
@@ -272,12 +267,12 @@ def adaptive_first_finding(
             break  # every arm retired: the space is exhausted, bug-free
         _, strategy = key
         stats = allocator.arm(key)
-        slice_budget = min(
+        budget = min(
             max_slice,
             int(probe_budget * growth ** stats.pulls),
             max_total - spent_total,
         )
-        pull = arms[strategy].pull(slice_budget)
+        pull = arms[strategy].pull(budget)
         fresh = [k for k in pull.outcomes if k not in seen_outcomes]
         seen_outcomes.update(fresh)
         payout = float(len(fresh))

@@ -25,7 +25,6 @@ from repro.sim.explorer import (
     enumerate_outcomes,
     find_schedule,
 )
-from repro.sim.frontier import ExplorationFrontier
 from repro.sim.generate import (
     FuzzReport,
     GeneratorConfig,
@@ -88,7 +87,6 @@ __all__ = [
     "run_program",
     "Explorer",
     "ExplorationResult",
-    "ExplorationFrontier",
     "enumerate_outcomes",
     "find_schedule",
     "Program",

@@ -82,7 +82,6 @@ sleep-set explorer's.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.obs import metrics as obs_metrics
@@ -90,10 +89,7 @@ from repro.sim import ops
 from repro.sim.engine import Engine, RunResult, RunStatus
 from repro.sim.memory import FLUSH_PREFIX
 from repro.sim.explorer import (
-    ExplorationResult,
-    Predicate,
     _AllAsleep,
-    _default_predicate,
     _preemption_cost,
     _previous,
     _Search,
@@ -101,7 +97,7 @@ from repro.sim.explorer import (
 )
 from repro.sim.program import Program
 from repro.sim.reduction import Token, op_footprint, ops_dependent
-from repro.sim.statecache import MemoHit, StateCache
+from repro.sim.statecache import MemoHit
 # Importable here as the very object the explorer fingerprints with:
 # profilers (perfbench/tracer.py) patch it in each importing module.
 from repro.sim.statecache import state_fingerprint  # noqa: F401
@@ -109,6 +105,10 @@ from repro.sim.thread import ThreadState
 from repro.sim.trace import Trace
 
 __all__ = ["DPORExplorer"]
+
+#: A DPOR seed: the next run's (prefix, initial sleep set, pipeline
+#: snapshot at the branch point).
+_Seed = Tuple[List[str], FrozenSet[str], Optional[Any]]
 
 #: Acquire-shaped operations that block while the mutex is held.
 _BLOCKING_ACQUIRE = (ops.Acquire, ops._ReacquireAfterWait)
@@ -381,11 +381,12 @@ class DPORExplorer(_Search):
     ``memoize=True`` (memo-aborted runs are handled as truncated runs)
     and ``preemption_bound`` (bounded POR with conservative backtrack
     points at context-switch boundaries).  See the module docstring for
-    the composed semantics.  It shares the plain explorer's run, tally
-    and close-out; race-directed ``targets`` also bias which backtrack
-    candidate is taken first, and DPOR's coverage is independent of
-    visit order.  An attached pipeline sees only the representative
-    schedules DPOR actually runs.
+    the composed semantics.  It shares the plain explorer's search loop
+    (:meth:`attempts`), run, tally and close-out, and keeps only its
+    node policy: the path and its backtrack sets.  Race-directed
+    ``targets`` also bias which backtrack candidate is taken first, and
+    DPOR's coverage is independent of visit order.  An attached pipeline
+    sees only the representative schedules DPOR actually runs.
     """
 
     kind = "dpor"
@@ -408,114 +409,52 @@ class DPORExplorer(_Search):
         #: Race telemetry of the most recent exploration.
         self.races_detected = 0
         self.backtrack_points = 0
+
+    # -- the node policy ------------------------------------------------------
+
+    def _first_seed(self) -> _Seed:
+        """Reset the race telemetry and the path; seed the root run."""
+        self.races_detected = 0
+        self.backtrack_points = 0
         # Search state of the running exploration: the current execution
         # path, and the trace of the latest run — every node of the path
         # was executed by it, so the next branch's prefix events are its
         # own.
         self._path: List[_Node] = []
         self._latest: Optional[Trace] = None
+        return [], frozenset(), None
 
-    def explore(
-        self,
-        predicate: Optional[Predicate] = None,
-        stop_on_first: bool = False,
-        *,
-        slice_budget: Optional[int] = None,
-        frontier: Optional[Any] = None,
-    ) -> ExplorationResult:
-        """Explore with reduction; result fields as in :class:`Explorer`.
-
-        DPOR refuses ``slice_budget``/``frontier`` (``ValueError``): its
-        backtrack sets are discovered *behind* the DFS position, so a
-        pending-stack checkpoint under-approximates the remaining work.
-        Callers that need incremental DPOR budgets restart with a larger
-        ``max_schedules`` instead — the search is deterministic, so a
-        restart that reaches the verdict reproduces it bit-for-bit
-        (``docs/allocator.md``).
-        """
-        if slice_budget is not None or frontier is not None:
-            raise ValueError(
-                "reduction='dpor' does not support sliced resumable "
-                "exploration: backtrack sets are discovered behind the DFS "
-                "position, so a pending-stack checkpoint under-approximates "
-                "the remaining work; restart with a larger max_schedules "
-                "instead"
-            )
-        start = perf_counter()
-        match = predicate if predicate is not None else _default_predicate
-        self.pruned_runs = 0
-        self.races_detected = 0
-        self.backtrack_points = 0
-        self.cache = StateCache() if self.memoize else None
-        self._path = []
-        self._latest = None
-        result = ExplorationResult(
-            program=self.program.name, schedules_run=0, complete=True
-        )
-        # Each run + race sweep + next-branch selection; the seed is the
-        # next run's (prefix, initial sleep set, pipeline snapshot).
-        seed: Optional[Tuple[List[str], FrozenSet[str], Optional[Any]]] = (
-            [], frozenset(), None
-        )
-        attempts = 0
-        while seed is not None:
-            if attempts >= self.max_schedules:
-                result.complete = False
-                break
-            attempts += 1
-            prefix, sleep, snapshot = seed
-            scheduler = _DPORScheduler(self, sleep)
-            run, engine = self._run(scheduler, prefix, snapshot, self._latest)
-            self._latest = engine.trace
-            # A memo-aborted or pruned run stops at a recorded node, which
-            # _extend_path surfaces as the tail; a finished one may still
-            # have transitions pending.
-            tail = None if run is None else _terminal_node(engine)
-            matched = self._absorb(
-                result, run, scheduler, tail, len(prefix), match
-            )
-            if matched and stop_on_first:
-                result.complete = False
-                break
-            seed = self._select_next(self._path)
-        self._close(result, perf_counter() - start)
-        self._publish(result)
-        return result
-
-    def _absorb(
-        self,
-        result: ExplorationResult,
-        run: Optional[RunResult],
-        scheduler: _DPORScheduler,
-        final_tail: Optional[_Node],
-        base: int,
-        match: Predicate,
-    ) -> bool:
-        """Fold one engine run into the path and the result tallies."""
+    def _attempt(
+        self, seed: _Seed
+    ) -> Tuple[Optional[RunResult], _DPORScheduler]:
+        """Run one seed and fold it into the path: extend the path with
+        the run's fresh nodes, sweep them for races, and withdraw
+        reduction credit below a truncated run."""
+        prefix, sleep, snapshot = seed
+        base = len(prefix)
+        scheduler = _DPORScheduler(self, sleep)
+        run, engine = self._run(scheduler, prefix, snapshot, self._latest)
+        self._latest = engine.trace
         path = self._path
-        pruned_tail = self._extend_path(path, scheduler)
-        result.states_expanded += len(scheduler.choices)
-        result.preemptions_spent += scheduler.preemptions
-        self._detect_races(
-            path, base, pruned_tail if pruned_tail is not None else final_tail
-        )
+        # A memo-aborted or pruned run stops at a recorded node, which
+        # _extend_path surfaces as the tail; a finished one may still
+        # have transitions pending.
+        tail = self._extend_path(path, scheduler)
+        if run is not None:
+            tail = _terminal_node(engine)
+        self._detect_races(path, base, tail)
         if run is None:
-            if scheduler.pruned:
-                self.pruned_runs += 1
-            else:
-                result.cache_hits += 1
-                # A memo-aborted run is truncated: the subtree below the
-                # revisited state was explored from its first visit, but
-                # this prefix's own unexecuted tail could hide races —
-                # withdraw reduction credit exactly as for a crash.
-                self._handle_truncated(path, scheduler, base)
-                self._truncation_races(path)
-            return False
-        matched = result.tally(run, match, self.keep_matches)
-        if run.status in (RunStatus.CRASH, RunStatus.ABORTED):
+            # A memo-aborted run is truncated: the subtree below the
+            # revisited state was explored from its first visit, but this
+            # prefix's own unexecuted tail could hide races — withdraw
+            # reduction credit exactly as for a crash.
+            truncated = not scheduler.pruned
+        else:
+            truncated = run.status in (RunStatus.CRASH, RunStatus.ABORTED)
+        if truncated:
             self._handle_truncated(path, scheduler, base)
             self._truncation_races(path)
-        return matched
+        return run, scheduler
 
     # -- internals ----------------------------------------------------------
 
@@ -802,9 +741,7 @@ class DPORExplorer(_Search):
             self._add_backtrack(path, thread, i, last, steps, pasts, None)
             break
 
-    def _select_next(
-        self, path: List[_Node]
-    ) -> Optional[Tuple[List[str], FrozenSet[str], Optional[Any]]]:
+    def _next_seed(self) -> Optional[_Seed]:
         """Deepest node with an unexplored awake (and feasible) thread.
 
         Truncates the path there, marks the branch done, and returns the
@@ -814,6 +751,7 @@ class DPORExplorer(_Search):
         way: they can never be selected, and leaving them would let them
         falsely cover later reversals.
         """
+        path = self._path
         bound = self.preemption_bound
         for depth in range(len(path) - 1, -1, -1):
             node = path[depth]

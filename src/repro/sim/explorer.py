@@ -35,25 +35,26 @@ one a cooperative scheduler would produce.
 
 The reduced explorers (:mod:`repro.sim.reduction`, :mod:`repro.sim.dpor`)
 share this module's search core: one way to execute a schedule
-attempt, one tally of a finished run (:meth:`ExplorationResult.tally`),
-one close-out, and — for plain DFS and sleep sets — one stack-driven
-loop with its slicing.  Each explorer adds only its node policy: its
-scheduler and how it branches.
+attempt, one search loop (:meth:`_Search.attempts`, a generator that
+runs one attempt per ``next()``), one tally of a finished run
+(:meth:`ExplorationResult.tally`) and one close-out.  Each explorer
+adds only its node policy: its scheduler and how it branches.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple,
+)
 
 from repro.errors import ExplorationError, ReproError
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs import runlog as obs_runlog
 from repro.sim.engine import Engine, EnabledFilter, RunResult, RunStatus
-from repro.sim.frontier import ExplorationFrontier
 from repro.sim.program import Program
 from repro.sim.scheduler import Scheduler
 from repro.sim.statecache import MemoHit, StateCache, state_fingerprint
@@ -146,9 +147,7 @@ class _DirectedPolicy:
 #: no pipeline is attached, trace of the run that pushed it or ``None``).
 #: The snapshot lets a sibling run resume analysis from the shared prefix
 #: instead of re-analysing it; the trace lets the engine adopt the
-#: prefix's events instead of rebuilding them.  Traces never leave the
-#: process: checkpoints keep only ``(prefix, mark)``, so resumed seeds
-#: replay with emission.
+#: prefix's events instead of rebuilding them.
 Seed = Tuple[List[str], Any, Optional[Any], Optional[Trace]]
 
 
@@ -289,7 +288,8 @@ class ExplorationResult:
     #: State-cache lookups/stored fingerprints (0 unless ``memoize=True``).
     cache_lookups: int = 0
     cache_states: int = 0
-    #: Wall-clock of the exploration.
+    #: Wall-clock spent inside the search (pauses between
+    #: :meth:`_Search.attempts` pulls excluded).
     wall_seconds: float = 0.0
     #: Detector reports accumulated by an attached streaming pipeline,
     #: keyed by detector name (``None`` when exploring without one).
@@ -298,14 +298,6 @@ class ExplorationResult:
     #: Counter dict from the attached pipeline's
     #: ``PipelineStats.as_dict()`` (``None`` without a pipeline).
     pipeline_stats: Optional[Dict[str, Any]] = None
-    #: Checkpoint of the paused search when a ``slice_budget`` ran out
-    #: with work left (:class:`repro.sim.frontier.ExplorationFrontier`);
-    #: ``None`` for every *terminal* result — search complete, budget
-    #: exhausted, or stopped on a first match.  A result carrying a
-    #: frontier is provisional: its tallies are cumulative over the
-    #: slices so far, and only the terminal slice's result is comparable
-    #: to an unsliced run.
-    frontier: Optional[Any] = None
 
     @property
     def found(self) -> bool:
@@ -368,18 +360,21 @@ class _Search:
     """The search machinery the three explorers share.
 
     It holds the common configuration, executes one schedule attempt
-    (:meth:`_run`), closes a search out (:meth:`_close` fills the result,
-    :meth:`_publish` publishes its metrics) and, for plain DFS and sleep
-    sets, runs the stack-driven search loop with its slicing
-    (:meth:`explore`).  A stack search supplies its node policy: the
-    per-run scheduler (``_scheduler``), the sibling-push rule
-    (``_push_siblings``), the root stack mark and the checkpoint form of
-    a mark.  :class:`~repro.sim.dpor.DPORExplorer` overrides
-    :meth:`explore` with its path-and-backtrack search.
+    (:meth:`_run`) and drives every search through one generator,
+    :meth:`attempts`: it tallies each attempt, charges the budget, closes
+    the search out (:meth:`_close` fills the result, :meth:`_publish`
+    publishes its metrics) and pauses between attempts.  An explorer
+    supplies only its node policy, as three hooks: :meth:`_first_seed`
+    sets a search up, :meth:`_attempt` runs one seed and records what the
+    run taught the policy, and :meth:`_next_seed` picks the next seed or
+    ends the search.  The hooks here are the stack-driven policy of plain
+    DFS and sleep sets, which each supply a per-run scheduler
+    (``_scheduler``), a sibling-push rule (``_push_siblings``) and the
+    root stack mark; :class:`~repro.sim.dpor.DPORExplorer` overrides them
+    with its path-and-backtrack policy.
     """
 
-    #: Which search this is: the ``explorer`` label of its metrics and
-    #: the tag of its frontiers.
+    #: Which search this is: the ``explorer`` label of its metrics.
     kind = ""
     #: The mark of the root stack entry (see :data:`Seed`).
     _root_mark: Any = None
@@ -436,78 +431,61 @@ class _Search:
         self,
         predicate: Optional[Predicate] = None,
         stop_on_first: bool = False,
-        *,
-        slice_budget: Optional[int] = None,
-        frontier: Optional[ExplorationFrontier] = None,
     ) -> ExplorationResult:
-        """Run the search.
+        """Run the search to its end; see :meth:`attempts`.
 
         :param predicate: runs for which it returns ``True`` are collected
             in ``matching`` (up to ``keep_matches``); by default failed runs
             (crash / deadlock / hang) match.
         :param stop_on_first: end the search at the first match.
-        :param slice_budget: run at most this many schedule attempts in
-            *this call*; if work remains (and the global ``max_schedules``
-            is not exhausted) the result carries a resumable
-            :class:`~repro.sim.frontier.ExplorationFrontier` on its
-            ``frontier`` field.  Concatenated slices reproduce the
-            unsliced result exactly (``docs/simulator.md``).
-        :param frontier: resume a previously paused search from its
-            checkpoint instead of starting at the root.  The explorer
-            must be of the same kind and configured identically (same
-            program, ``memoize``) or ``ValueError`` is raised.  Slicing
-            is incompatible with an attached pipeline (also
-            ``ValueError``).
         """
-        sliced = slice_budget is not None or frontier is not None
-        if sliced:
-            self._check_sliceable(slice_budget)
+        search = self.attempts(predicate, stop_on_first)
+        try:
+            while True:
+                next(search)
+        except StopIteration as end:
+            return end.value
+
+    def attempts(
+        self,
+        predicate: Optional[Predicate] = None,
+        stop_on_first: bool = False,
+    ) -> Generator[ExplorationResult, None, ExplorationResult]:
+        """The search as a generator: one schedule attempt per ``next()``.
+
+        Each pull runs exactly one attempt (a completed run, a memoized
+        abort or a sleep-pruned run) and, while work and budget remain,
+        yields the live result: its tallies are current, and the
+        close-out fields (cache counters, detector reports,
+        ``wall_seconds``) are filled when the search ends.  The pull whose
+        attempt ends the search — it drains the work, spends the last of
+        ``max_schedules``, or matches under ``stop_on_first`` — raises
+        ``StopIteration`` carrying the final result instead, and the
+        search's metrics are published then, once.  ``wall_seconds``
+        counts only time spent inside the search, and a search abandoned
+        before its end publishes nothing.  Arguments as in
+        :meth:`explore`; one search per explorer at a time.
+        """
+        elapsed = 0.0
         start = perf_counter()
         match = predicate if predicate is not None else _default_predicate
-        if frontier is not None:
-            frontier.check(self.kind, self.program.name, self.memoize)
-            # Fresh containers: the frontier and the provisional result
-            # that returned it never change when the search goes on.
-            saved = frontier.result
-            result = replace(
-                saved,
-                statuses=Counter(saved.statuses),
-                outcomes=dict(saved.outcomes),
-                matching=list(saved.matching),
-            )
-            stack: List[Seed] = [
-                (list(prefix), self._stack_mark(mark), None, None)
-                for prefix, mark in frontier.pending
-            ]
-            cache = frontier.restore_cache()
-            attempts = frontier.attempts
-            self.pruned_runs = frontier.pruned_runs
-        else:
-            result = ExplorationResult(
-                program=self.program.name, schedules_run=0, complete=True
-            )
-            stack = [([], self._root_mark, None, None)]
-            cache = StateCache() if self.memoize else None
-            attempts = 0
-            self.pruned_runs = 0
-        self.cache = cache
-        limit = (
-            min(self.max_schedules, attempts + slice_budget)
-            if slice_budget is not None
-            else None
+        result = ExplorationResult(
+            program=self.program.name, schedules_run=0, complete=True
         )
-        # The stack is LIFO, so a slice that stops at ``limit`` leaves
-        # exactly the serially-next subtrees on it, top first.
-        while stack:
+        self.cache = StateCache() if self.memoize else None
+        self.pruned_runs = 0
+        seed = self._first_seed()
+        attempts = 0
+        while seed is not None:
             if attempts >= self.max_schedules:
                 result.complete = False
                 break
-            if limit is not None and attempts >= limit:
-                break  # slice exhausted; checkpoint the stack below
-            prefix, mark, snapshot, parent = stack.pop()
+            if attempts:
+                elapsed += perf_counter() - start
+                yield result
+                start = perf_counter()
             attempts += 1
-            scheduler = self._scheduler(mark)
-            run, _ = self._run(scheduler, prefix, snapshot, parent)
+            run, scheduler = self._attempt(seed)
             result.states_expanded += len(scheduler.choices)
             result.preemptions_spent += scheduler.preemptions
             if run is not None:
@@ -518,50 +496,33 @@ class _Search:
                 self.pruned_runs += 1
             else:
                 result.cache_hits += 1
-            self._push_siblings(stack, scheduler, prefix, mark, run)
-        self._close(result, result.wall_seconds + perf_counter() - start)
-        if sliced and stack and result.complete:
-            # Slice exhausted with pending work: checkpoint instead of
-            # finishing.  Metrics are published once, on the terminal slice.
-            result.frontier = ExplorationFrontier(
-                explorer=self.kind,
-                program=self.program.name,
-                memoize=self.memoize,
-                result=replace(result),
-                pending=[
-                    (list(prefix), self._saved_mark(mark))
-                    for prefix, mark, _, _ in stack
-                ],
-                attempts=attempts,
-                pruned_runs=self.pruned_runs,
-                cache_state=cache.export_state() if cache is not None else None,
-            )
-            return result
+            seed = self._next_seed()
+        self._close(result, elapsed + perf_counter() - start)
         self._publish(result)
         return result
 
-    def _check_sliceable(self, slice_budget: Optional[int]) -> None:
-        if self.pipeline is not None:
-            raise ValueError(
-                "sliced exploration cannot be combined with a streaming "
-                "detector pipeline: branch-point snapshots hold live "
-                "analysis state that must not cross a checkpoint boundary"
-            )
-        if slice_budget is not None and slice_budget < 1:
-            raise ValueError(
-                f"slice_budget must be a positive schedule count, got "
-                f"{slice_budget}"
-            )
+    # -- the stack-driven node policy (plain DFS, sleep sets) -----------------
 
-    @staticmethod
-    def _saved_mark(mark: Any) -> Any:
-        """The checkpoint form of a stack entry's mark."""
-        return mark
+    def _first_seed(self) -> Any:
+        """Set a search up; return its first seed."""
+        self._stack: List[Seed] = []
+        return ([], self._root_mark, None, None)
 
-    @staticmethod
-    def _stack_mark(saved: Any) -> Any:
-        """A stack entry's mark, back from its checkpoint form."""
-        return saved
+    def _attempt(
+        self, seed: Any
+    ) -> Tuple[Optional[RunResult], _SearchScheduler]:
+        """Run one seed; return the run (``None`` if cut short) and its
+        scheduler."""
+        prefix, mark, snapshot, parent = seed
+        scheduler = self._scheduler(mark)
+        run, _ = self._run(scheduler, prefix, snapshot, parent)
+        self._push_siblings(self._stack, scheduler, prefix, mark, run)
+        return run, scheduler
+
+    def _next_seed(self) -> Any:
+        """The next seed, or ``None`` when the search is done."""
+        # LIFO: the serially-next subtree is always on top.
+        return self._stack.pop() if self._stack else None
 
     # -- one run and the close-out -------------------------------------------
 
@@ -716,7 +677,7 @@ class Explorer(_Search):
 def _record_exploration(result: ExplorationResult, explorer: str) -> None:
     """Publish one exploration's counters to the metrics registry.
 
-    Called once per top-level ``explore()``.  No-op while metrics are
+    Called once per search, when it ends.  No-op while metrics are
     disabled.
     """
     registry = obs_metrics.active()

@@ -209,13 +209,13 @@ class _SleepScheduler(_SearchScheduler):
 class SleepSetExplorer(_Search):
     """DFS exploration with sleep-set partial-order reduction.
 
-    Shares the search loop of :class:`~repro.sim.explorer.Explorer`;
-    only the scheduler and the sibling-push rule differ.  Race-directed
-    ``targets`` reorder sibling pushes, which is sound for sleep sets: a
-    sibling's sleep set only needs each sleeping thread to own another
-    branch at the same node, which holds for any enumeration order.  An
-    attached pipeline sees only the non-pruned representative schedules.
-    Sliced exploration checkpoints each pending entry with its sleep set.
+    Shares the stack-driven search of :class:`~repro.sim.explorer.Explorer`;
+    only the scheduler and the sibling-push rule differ, and each stack
+    entry's mark is its sleep set.  Race-directed ``targets`` reorder
+    sibling pushes, which is sound for sleep sets: a sibling's sleep set
+    only needs each sleeping thread to own another branch at the same
+    node, which holds for any enumeration order.  An attached pipeline
+    sees only the non-pruned representative schedules.
     """
 
     kind = "sleepset"
@@ -238,14 +238,6 @@ class SleepSetExplorer(_Search):
 
     def _scheduler(self, sleep: FrozenSet[str]) -> _SleepScheduler:
         return _SleepScheduler(self, sleep)
-
-    @staticmethod
-    def _saved_mark(sleep: FrozenSet[str]) -> Tuple[str, ...]:
-        return tuple(sorted(sleep))
-
-    @staticmethod
-    def _stack_mark(saved: Tuple[str, ...]) -> FrozenSet[str]:
-        return frozenset(saved)
 
     def _publish_search_counters(self) -> None:
         obs_metrics.inc(

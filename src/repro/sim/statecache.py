@@ -403,14 +403,6 @@ class StateCache:
     def __len__(self) -> int:
         return len(self._seen)
 
-    def export_state(self) -> Tuple[set, int, int]:
-        """Snapshot for a frontier checkpoint: ``(seen, hits, lookups)``.
-
-        :meth:`repro.sim.frontier.ExplorationFrontier.restore_cache`
-        rebuilds an equivalent cache from it.
-        """
-        return (set(self._seen), self.hits, self.lookups)
-
     def hit_rate(self) -> float:
         """Fraction of lookups that hit the cache."""
         return self.hits / self.lookups if self.lookups else 0.0

@@ -269,22 +269,6 @@ def test_pinned_file_covers_every_cell(pinned):
         assert sorted(pinned[name]) == sorted(CONFIGS), name
 
 
-# -- traces stay in the process ----------------------------------------------
-
-
-@pytest.mark.parametrize("explorer_class", [Explorer, SleepSetExplorer])
-def test_checkpoints_carry_no_traces(explorer_class):
-    program = PROGRAMS["multivar_torn_invariant/buggy"]
-    paused = explorer_class(program, keep_matches=0).explore(slice_budget=20)
-    assert paused.frontier is not None
-    assert paused.frontier.pending and not paused.frontier.result.matching
-    for prefix, mark in paused.frontier.pending:
-        # A prefix of thread names and a preemption count or sleep set:
-        # no parent run, trace or branch-point snapshot is kept.
-        assert all(isinstance(name, str) for name in prefix)
-        assert isinstance(mark, int) or all(isinstance(n, str) for n in mark)
-
-
 # -- divergence ----------------------------------------------------------------
 
 #: Executions of the divergent body so far; reset by every divergence test.

@@ -11,7 +11,7 @@ Four checks, all against the working tree:
    (``src/repro/static/``) must additionally be mentioned in
    ``docs/static.md``, the subsystem's own page, and the search-layer
    modules of the simulator (``explorer`` / ``reduction`` / ``dpor`` /
-   ``statecache`` / ``memory`` / ``frontier``) in ``docs/simulator.md`` — by
+   ``statecache`` / ``memory``) in ``docs/simulator.md`` — by
    filename or dotted ``sim.<module>`` path — and the service modules
    (``src/repro/service/``) in ``docs/service.md``, the service
    handbook.
@@ -46,9 +46,7 @@ ALLOC_DOC = DOCS / "allocator.md"
 #: docs/simulator.md is the subsystem page and must discuss each of these
 #: modules (the remaining substrate modules — engine, sync, ops, ... —
 #: are covered by the architecture tour).
-SIM_SEARCH_MODULES = (
-    "explorer", "reduction", "dpor", "statecache", "memory", "frontier",
-)
+SIM_SEARCH_MODULES = ("explorer", "reduction", "dpor", "statecache", "memory")
 
 #: The real-code pipeline is the static subsystem's outward-facing
 #: surface: docs/static.md must name both dotted modules explicitly
