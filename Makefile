@@ -19,7 +19,7 @@ bench-timed:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 examples:
-	@for f in examples/*.py; do echo "== $$f =="; $(PYTHON) $$f > /dev/null && echo OK; done
+	@for f in examples/*.py; do echo "== $$f =="; $(PYTHON) $$f > /dev/null || exit 1; echo OK; done
 
 report:
 	$(PYTHON) -m repro report

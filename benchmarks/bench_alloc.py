@@ -1,8 +1,8 @@
 """Adaptive (UCB1) budget allocation vs fixed search strategies.
 
-The question behind the estimator's ``adaptive`` row, the one consumer
-of :mod:`repro.alloc`, measured on a mixed corpus (every bug kernel
-plus generated programs — some buggy, some failure-free): *how many
+The question behind the estimator's ``adaptive`` row
+(:mod:`repro.manifest.adaptive`), measured on a mixed corpus (every bug
+kernel plus generated programs — some buggy, some failure-free): *how many
 schedules does a first finding cost when you must pick a strategy up
 front, vs letting a bandit discover the right one per program?*
 
@@ -14,8 +14,9 @@ Each fixed strategy pays its own worst cases:
   but pays the full budget cap on every failure-free program, forever,
   because sampling can never prove absence.
 
-The adaptive policy (:func:`repro.alloc.adaptive_first_finding`) probes
-every arm with tiny slices, then spends where the payout is: it tracks
+The adaptive policy
+(:func:`~repro.manifest.adaptive.adaptive_first_finding`) probes every
+arm with tiny slices, then spends where the payout is: it tracks
 the systematic arms on small/clean programs (a complete search retires
 the whole race) and walks away to samplers when the state space is deep
 and the bug is random-reachable.  The recorded aggregate asserts the
@@ -32,7 +33,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.alloc import adaptive_first_finding, derive_horizon
+from repro.manifest.adaptive import adaptive_first_finding, derive_horizon
 from repro.kernels import all_kernels
 from repro.sim import (
     Explorer,
@@ -143,9 +144,7 @@ def collect():
             row[strategy] = spent
             row[f"{strategy}_found"] = found
             totals[strategy] += spent
-        race = adaptive_first_finding(
-            program, failure, max_total=CAP, seed=0
-        )
+        race = adaptive_first_finding(program, failure, max_total=CAP)
         row["adaptive"] = race.schedules
         row["adaptive_found"] = race.found
         row["adaptive_winner"] = race.winner

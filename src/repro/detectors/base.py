@@ -70,10 +70,6 @@ class Finding:
     resources: Tuple[str, ...] = ()
     events: Tuple[int, ...] = ()
 
-    def involves_variable(self, var: str) -> bool:
-        """Whether ``var`` is implicated in this finding."""
-        return var in self.variables
-
     def summary(self) -> str:
         """Compact one-line rendering."""
         where = ",".join(self.variables or self.resources) or "-"

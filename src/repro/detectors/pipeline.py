@@ -6,7 +6,7 @@ and lock-order edges from scratch — five times per trace, once per
 detector, for every interleaving an exploration yields.  This module
 inverts that: a :class:`DetectorPipeline` owns a *single* pass over the
 event stream and a shared :class:`AnalysisState` (vector clocks, locksets,
-lock-order graph, critical-section extents) computed once; each detector
+lock-order graph) computed once; each detector
 is reduced to an ``on_event``/``finish`` observer that reads the shared
 state (see :class:`~repro.detectors.base.Detector`).
 
@@ -60,12 +60,11 @@ __all__ = [
     "LockTracker",
     "PipelineSnapshot",
     "PipelineStats",
-    "SectionTracker",
     "record_pipeline_metrics",
 ]
 
 #: The shared-state components a detector may declare in ``requires``.
-COMPONENTS = ("clocks", "locks", "lock_order", "sections")
+COMPONENTS = ("clocks", "locks", "lock_order")
 
 _NO_LOCKS: frozenset = frozenset()
 
@@ -347,38 +346,6 @@ class LockOrderTracker:
         return dup
 
 
-class SectionTracker:
-    """Critical-section extents, maintained online.
-
-    Streaming equivalent of :meth:`repro.sim.trace.Trace.critical_sections`:
-    ``completed`` holds ``(thread, lock, acquire_seq, release_seq)`` tuples
-    for every closed section so far, in closing order; sections still open
-    are in ``open_sections``.
-    """
-
-    def __init__(self) -> None:
-        self.open_sections: Dict[Tuple[str, str], int] = {}
-        self.completed: List[Tuple[str, str, int, int]] = []
-
-    def apply(self, event: ev.Event) -> None:
-        """Advance the section extents by one event."""
-        if isinstance(event, ev.AcquireEvent) or (
-            isinstance(event, ev.TryAcquireEvent) and event.success
-        ) or isinstance(event, ev.WaitResumeEvent):
-            self.open_sections[(event.thread, event.lock)] = event.seq
-        elif isinstance(event, (ev.ReleaseEvent, ev.WaitParkEvent)):
-            start = self.open_sections.pop((event.thread, event.lock), None)
-            if start is not None:
-                self.completed.append((event.thread, event.lock, start, event.seq))
-
-    def copy(self) -> "SectionTracker":
-        """Snapshot copy."""
-        dup = SectionTracker.__new__(SectionTracker)
-        dup.open_sections = dict(self.open_sections)
-        dup.completed = list(self.completed)
-        return dup
-
-
 class AnalysisState:
     """The shared per-pass state every detector reads.
 
@@ -410,9 +377,8 @@ class AnalysisState:
         self.lock_order = (
             LockOrderTracker() if "lock_order" in self.components else None
         )
-        self.sections = SectionTracker() if "sections" in self.components else None
         self._trackers = tuple(
-            t for t in (self.clocks, self.locks, self.lock_order, self.sections)
+            t for t in (self.clocks, self.locks, self.lock_order)
             if t is not None
         )
 
@@ -435,9 +401,8 @@ class AnalysisState:
         dup.lock_order = (
             self.lock_order.copy() if self.lock_order is not None else None
         )
-        dup.sections = self.sections.copy() if self.sections is not None else None
         dup._trackers = tuple(
-            t for t in (dup.clocks, dup.locks, dup.lock_order, dup.sections)
+            t for t in (dup.clocks, dup.locks, dup.lock_order)
             if t is not None
         )
         return dup

@@ -5,6 +5,8 @@
 * :mod:`repro.manifest.coverage` — pairwise interleaving coverage.
 * :mod:`repro.manifest.estimator` — manifestation rates under random /
   PCT / cooperative / order-enforced testing.
+* :mod:`repro.manifest.adaptive` — the estimator's adaptive row: a UCB1
+  race of search strategies on one program (imported on first use).
 """
 
 from repro.manifest.coverage import PairwiseCoverage, access_sites, ordered_pairs

@@ -106,8 +106,6 @@ def _record_estimate(
 def compare_strategies(
     kernel: BugKernel,
     runs: int = 100,
-    pct_depth: int = 3,
-    pct_horizon: Optional[int] = None,
     *,
     reduction: Optional[str] = None,
 ) -> Dict[str, ManifestationEstimate]:
@@ -122,8 +120,8 @@ def compare_strategies(
     partial order — the Finding 8 guarantee, typically 100%).
 
     An ``adaptive`` row reports the cost of *not knowing* the right
-    strategy up front: :func:`repro.alloc.adaptive_first_finding` races
-    dfs / sleep-set / random / pct arms under a UCB1 bandit and its
+    strategy up front: :func:`repro.manifest.adaptive.adaptive_first_finding`
+    races dfs / sleep-set / random / pct arms under a UCB1 bandit and its
     ``runs`` is the total schedules spent (across every arm) until the
     bug first manifested.
 
@@ -134,16 +132,17 @@ def compare_strategies(
     survives either way: both are orders of magnitude below the enforced
     order's 100%.
     """
-    from repro.alloc import adaptive_first_finding, derive_horizon
+    from repro.manifest.adaptive import (
+        PCT_DEPTH,
+        adaptive_first_finding,
+        derive_horizon,
+    )
 
-    # Horizon defaults to the kernel's *measured* step count (longest of
-    # a cooperative and a seed-0 random run); PCT's change points only
+    # The horizon is the kernel's *measured* step count (longest of a
+    # cooperative and a seed-0 random run); PCT's change points only
     # matter when they land inside the run, so a hardcoded constant
     # under- or over-shoots kernels whose runs are shorter or longer.
-    horizon = (
-        pct_horizon if pct_horizon is not None
-        else derive_horizon(kernel.buggy)
-    )
+    horizon = derive_horizon(kernel.buggy)
     estimates = {
         "cooperative": estimate_manifestation(
             kernel.buggy, kernel.failure,
@@ -157,7 +156,7 @@ def compare_strategies(
         ),
         "pct": estimate_manifestation(
             kernel.buggy, kernel.failure,
-            lambda seed: PCTScheduler(seed=seed, depth=pct_depth, horizon=horizon),
+            lambda seed: PCTScheduler(seed=seed, depth=PCT_DEPTH, horizon=horizon),
             runs=runs, strategy="pct",
         ),
     }
@@ -189,10 +188,7 @@ def compare_strategies(
     # *discover* the right strategy.  ``runs`` is total spend across all
     # arms, so its "rate" is directly comparable to the exhaustive row.
     adaptive_start = perf_counter()
-    race = adaptive_first_finding(
-        kernel.buggy, kernel.failure,
-        pct_depth=pct_depth, pct_horizon=horizon,
-    )
+    race = adaptive_first_finding(kernel.buggy, kernel.failure)
     estimates["adaptive"] = ManifestationEstimate(
         strategy=f"adaptive[ucb:{race.winner or 'none'}]",
         runs=race.schedules,

@@ -116,25 +116,29 @@ class JobOptions:
         unknown = sorted(set(raw) - known)
         if unknown:
             raise JobError(f"unknown job option(s): {', '.join(unknown)}")
-        for key in ("preemption_bound", "max_schedules"):
+        # A bound of 0 is a search of the non-preemptive schedules only.
+        for key, least, word in (
+            ("preemption_bound", 0, "non-negative"),
+            ("max_schedules", 1, "positive"),
+        ):
             value = raw.get(key)
             # bool is an int subclass: ``true`` must not pass as 1.
             if value is not None and (
                 isinstance(value, bool) or not isinstance(value, int)
-                or value < 1
+                or value < least
             ):
-                raise JobError(f"option {key} must be a positive integer")
+                raise JobError(f"option {key} must be a {word} integer")
         memoize = raw.get("memoize", False)
         if not isinstance(memoize, bool):
             # bool("false") is True: only a JSON boolean is accepted.
             raise JobError("option memoize must be a boolean")
         if raw.get("reduction") is not None:
-            from repro.sim.explorer import REDUCTIONS
+            from repro.sim.explorer import check_reduction
 
-            if raw["reduction"] not in REDUCTIONS:
-                raise JobError(
-                    f"option reduction must be one of {', '.join(REDUCTIONS)}"
-                )
+            try:
+                check_reduction(raw["reduction"], raw.get("preemption_bound"))
+            except ValueError as refusal:
+                raise JobError(f"option {refusal}") from None
         if raw.get("memory") is not None:
             from repro.sim.memory import MEMORY_MODELS
 

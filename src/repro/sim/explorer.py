@@ -64,6 +64,7 @@ __all__ = [
     "Explorer",
     "ExplorationResult",
     "REDUCTIONS",
+    "check_reduction",
     "find_schedule",
     "enumerate_outcomes",
     "make_explorer",
@@ -760,6 +761,28 @@ def _outcome_key(run: RunResult) -> Tuple:
 REDUCTIONS = ("none", "sleepset", "dpor")
 
 
+def check_reduction(
+    reduction: Optional[str], preemption_bound: Optional[int]
+) -> str:
+    """The name of ``reduction`` (``None`` is ``"none"``), if it can run.
+
+    Raises :class:`ValueError` for an unknown name, and for sleep sets
+    under a preemption bound, which no explorer supports.
+    """
+    kind = reduction if reduction is not None else "none"
+    if kind not in REDUCTIONS:
+        raise ValueError(
+            f"reduction must be one of {', '.join(REDUCTIONS)}; got {reduction!r}"
+        )
+    if kind == "sleepset" and preemption_bound is not None:
+        raise ValueError(
+            "reduction='sleepset' cannot be combined with a "
+            "preemption bound: sleep sets assume every sibling "
+            "branch is explorable, which the bound violates"
+        )
+    return kind
+
+
 def make_explorer(
     program: Program,
     max_schedules: int = 20000,
@@ -794,11 +817,7 @@ def make_explorer(
         :class:`ValueError` (sleep sets assume every sibling branch is
         explorable).
     """
-    kind = reduction if reduction is not None else "none"
-    if kind not in REDUCTIONS:
-        raise ValueError(
-            f"reduction must be one of {', '.join(REDUCTIONS)}; got {reduction!r}"
-        )
+    kind = check_reduction(reduction, preemption_bound)
     options: Dict[str, Any] = {
         "max_schedules": max_schedules,
         "max_steps": max_steps,
@@ -808,12 +827,6 @@ def make_explorer(
         "targets": targets,
     }
     if kind == "sleepset":
-        if preemption_bound is not None:
-            raise ValueError(
-                "reduction='sleepset' cannot be combined with a "
-                "preemption bound: sleep sets assume every sibling "
-                "branch is explorable, which the bound violates"
-            )
         from repro.sim.reduction import SleepSetExplorer as explorer_class
     else:
         options["preemption_bound"] = preemption_bound

@@ -36,11 +36,17 @@ def replay(program: Program, schedule: List[str], max_steps: int = 20000) -> Run
 def replay_prefix(
     program: Program, schedule: List[str], max_steps: int = 20000
 ) -> RunResult:
-    """Replay ``schedule`` as a prefix, then continue cooperatively.
+    """Replay ``schedule`` as a prefix, then fill in the tail.
 
     Useful when the recorded schedule comes from a *different but related*
     program (e.g. the patched version of a kernel): the prefix steers
-    execution toward the interesting region and the tail is filled in.
+    execution toward the interesting region.  Every step past the prefix,
+    and every prefix choice that is not enabled, goes to the enabled
+    thread whose name sorts first (``FixedScheduler(strict=False)``).
+    That tail is not cooperative: it switches to a lower-named thread as
+    soon as one is enabled.  On ``racy_counter`` the prefix ``["T2"]``
+    runs ``T2, T1, T1, T2``, preempting T2 between its read and its
+    write, and loses an update.
     """
     return run_program(program, FixedScheduler(schedule, strict=False), max_steps=max_steps)
 

@@ -12,6 +12,7 @@ from repro.manifest import (
 from repro.sim import (
     CooperativeScheduler,
     FixedScheduler,
+    PCTScheduler,
     RandomScheduler,
     run_program,
 )
@@ -142,18 +143,19 @@ class TestEstimator:
         assert estimates["adaptive"].runs >= 1
         assert estimates["adaptive"].strategy.startswith("adaptive[ucb:")
 
-    def test_compare_strategies_derives_horizon_and_keeps_override(self):
-        from repro.alloc import derive_horizon
+    def test_compare_strategies_derives_horizon(self):
+        from repro.manifest.adaptive import derive_horizon
 
         kernel = get_kernel("atomicity_single_var")
         derived = derive_horizon(kernel.buggy)
         assert derived >= 4  # grounded in the kernel's real step count
-        # The pct_horizon override still reaches the PCT scheduler: a
-        # different horizon changes which seeds manifest, but both runs
-        # stay deterministic.
-        a = compare_strategies(kernel, runs=25, pct_horizon=derived)
-        b = compare_strategies(kernel, runs=25, pct_horizon=derived)
-        assert a["pct"].manifested == b["pct"].manifested
+        # The pct row runs depth-3 PCT at exactly that horizon.
+        pct = estimate_manifestation(
+            kernel.buggy, kernel.failure,
+            lambda seed: PCTScheduler(seed=seed, depth=3, horizon=derived),
+            runs=25, strategy="pct",
+        )
+        assert compare_strategies(kernel, runs=25)["pct"] == pct
 
     def test_compare_strategies_reduction_tags_exhaustive_row(self):
         kernel = get_kernel("atomicity_single_var")

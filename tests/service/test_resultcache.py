@@ -34,10 +34,14 @@ _options_dicts = st.fixed_dictionaries(
     {},
     optional={
         "reduction": st.sampled_from(["none", "sleepset", "dpor"]),
-        "preemption_bound": st.integers(min_value=1, max_value=3),
+        "preemption_bound": st.integers(min_value=0, max_value=3),
         "memoize": st.booleans(),
         "max_schedules": st.integers(min_value=1, max_value=5000),
     },
+).filter(
+    # Sleep sets take no bound: from_dict refuses that pair.
+    lambda raw: raw.get("reduction") != "sleepset"
+    or "preemption_bound" not in raw
 )
 
 
@@ -117,11 +121,16 @@ def test_job_options_reject_garbage():
         {"memoize": 1},
         {"memoize": None},
         {"preemption_bound": True},
+        {"preemption_bound": -1},
         {"max_schedules": True},
         {"max_schedules": 2.0},
+        {"max_schedules": 0},
     ):
         with pytest.raises(JobError):
             JobOptions.from_dict(garbage)
+    # Sleep sets refuse a bound: refused at submit, not failed in a worker.
+    with pytest.raises(JobError, match="sleepset' cannot be combined"):
+        JobOptions.from_dict({"reduction": "sleepset", "preemption_bound": 2})
     with pytest.raises(JobError):
         JobKind.parse("fuzz")
 

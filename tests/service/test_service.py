@@ -114,6 +114,62 @@ def test_differing_options_miss_the_cache(tmp_path):
     asyncio.run(main())
 
 
+def test_bound_zero_jobs_match_one_shot_bound_zero_searches(tmp_path):
+    """A preemption bound of 0 searches the non-preemptive schedules
+    only, in the service as in one-shot use."""
+    from repro.detectors import DetectorSuite
+    from repro.kernels import get_kernel
+    from repro.sim import Explorer, find_schedule
+
+    def detect_verdict(kernel):
+        run = find_schedule(kernel.buggy, kernel.failure, preemption_bound=0)
+        verdict = {"kind": "detect", "manifested": run is not None,
+                   "flagged_by": [], "kinds": []}
+        if run is not None:
+            report = DetectorSuite.for_program(kernel.buggy).analyse(run.trace)
+            verdict["flagged_by"] = report.flagged_by()
+            verdict["kinds"] = sorted(k.value for k in report.kinds_found())
+            verdict["schedule"] = list(run.schedule)
+        return verdict
+
+    def check_verdict(kernel):
+        result = Explorer(
+            kernel.fixed, max_schedules=50000, preemption_bound=0,
+            keep_matches=1,
+        ).explore(predicate=kernel.failure, stop_on_first=True)
+        return {"kind": "check", "clean": result.complete and not result.found,
+                "complete": result.complete,
+                "failures_found": result.match_count}
+
+    # atomicity_lost_update needs a preemption; order_teardown_use does not.
+    cases = [
+        ("detect", "atomicity_lost_update", detect_verdict),
+        ("detect", "order_teardown_use", detect_verdict),
+        ("check", "atomicity_lost_update", check_verdict),
+    ]
+
+    async def main():
+        service = _service(tmp_path)
+        await service.start()
+        try:
+            jobs = [
+                service.submit(kind, name, {"preemption_bound": 0})
+                for kind, name, _ in cases
+            ]
+            for job in jobs:
+                await _finished(service, job)
+        finally:
+            await service.close()
+        return jobs
+
+    jobs = asyncio.run(main())
+    for job, (kind, name, one_shot) in zip(jobs, cases):
+        assert job.state is JobState.DONE, (kind, name, job.error)
+        assert job.verdict == one_shot(get_kernel(name)), (kind, name)
+    assert jobs[0].verdict["manifested"] is False
+    assert jobs[1].verdict["manifested"] is True
+
+
 @pytest.mark.parametrize(
     "options, error",
     [

@@ -6,7 +6,7 @@ exactly one schedule attempt and, while work and budget remain, yields
 the live result; the pull whose attempt ends the search raises
 ``StopIteration`` carrying the final result, and only then are the
 search's metrics published.  The adaptive strategy race
-(:mod:`repro.alloc.adaptive`) pauses searches this way between its
+(:mod:`repro.manifest.adaptive`) pauses searches this way between its
 pulls, so a search pulled one attempt at a time, with another search
 resumed in between, must end exactly where one ``explore()`` ends.
 Property-tested over the generated corpus for plain DFS, sleep sets and

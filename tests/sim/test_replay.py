@@ -50,8 +50,11 @@ class TestReplayPrefix:
     def test_prefix_steers_then_continues(self):
         prog = helpers.racy_counter()
         result = replay_prefix(prog, ["T2"])
-        assert result.schedule[0] == "T2"
+        # Past the prefix the lowest-named enabled thread runs, so T1
+        # preempts T2 between its read and its write: an update is lost.
+        assert result.schedule == ["T2", "T1", "T1", "T2"]
         assert result.status is RunStatus.OK
+        assert result.memory["counter"] == 1
 
     def test_prefix_tolerates_disabled_choices(self):
         prog = helpers.locked_counter()

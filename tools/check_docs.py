@@ -40,7 +40,6 @@ ARCHITECTURE = DOCS / "architecture.md"
 STATIC_DOC = DOCS / "static.md"
 SIMULATOR_DOC = DOCS / "simulator.md"
 SERVICE_DOC = DOCS / "service.md"
-ALLOC_DOC = DOCS / "allocator.md"
 
 #: The simulator's search layer plus the pluggable memory models:
 #: docs/simulator.md is the subsystem page and must discuss each of these
@@ -92,7 +91,6 @@ def check_modules(problems: list) -> None:
     for doc, package, label in (
         (STATIC_DOC, "static", "static subsystem page"),
         (SERVICE_DOC, "service", "service handbook"),
-        (ALLOC_DOC, "alloc", "allocator handbook"),
     ):
         if not doc.exists():
             problems.append(f"docs/{doc.name}: missing ({label})")
