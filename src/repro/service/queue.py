@@ -136,7 +136,13 @@ class ReproService:
         self.queue_wait = HistogramStats()
         self._ids = itertools.count(1)
         self._wakeup = asyncio.Event()
+        #: Finish events of unfinished jobs someone waits on; ``_seal``
+        #: pops and sets them.
         self._finished: Dict[str, asyncio.Event] = {}
+        #: Registered kernel name -> the one instance submissions key on,
+        #: so a repeat submission fingerprints the same Programs
+        #: (``program_fingerprint`` remembers each Program's digest).
+        self._kernels: Dict[str, Any] = {}
         self._scheduler_task: Optional[asyncio.Task] = None
         self._slots = asyncio.Semaphore(self.fleet.size)
         self._closing = False
@@ -182,8 +188,6 @@ class ReproService:
         3. **enqueue** — a fresh job enters the FIFO, subject to
            admission control (:class:`AdmissionError` when full).
         """
-        from repro.kernels import get_kernel, kernel_names
-
         kind = JobKind.parse(kind) if isinstance(kind, str) else kind
         if not isinstance(options, JobOptions):
             options = JobOptions.from_dict(options)
@@ -195,14 +199,7 @@ class ReproService:
             except OSError as exc:
                 raise JobError(f"unreadable source module: {exc}") from None
         else:
-            try:
-                kernel = get_kernel(kernel_name)
-            except KeyError:
-                raise JobError(
-                    f"unknown kernel {kernel_name!r}; available: "
-                    + ", ".join(kernel_names())
-                ) from None
-            key = kernel_cache_key(kind, kernel, options)
+            key = kernel_cache_key(kind, self._kernel(kernel_name), options)
         self.submissions += 1
         obs_metrics.inc("service.submissions", kind=kind.value)
 
@@ -216,7 +213,6 @@ class ReproService:
             self.cache_hits += 1
             self.jobs_completed += 1
             obs_metrics.inc("service.cache_hits", kind=kind.value)
-            self._finish_event(job.id).set()
             return job
 
         job = self._new_job(kind, kernel_name, options, key)
@@ -235,6 +231,21 @@ class ReproService:
         obs_metrics.set_gauge("service.queue_depth", len(self.queue))
         self._wakeup.set()
         return job
+
+    def _kernel(self, name: str) -> Any:
+        """The service's one instance of the kernel registered as ``name``."""
+        kernel = self._kernels.get(name)
+        if kernel is None:
+            from repro.kernels import get_kernel, kernel_names
+
+            try:
+                kernel = self._kernels[name] = get_kernel(name)
+            except KeyError:
+                raise JobError(
+                    f"unknown kernel {name!r}; available: "
+                    + ", ".join(kernel_names())
+                ) from None
+        return kernel
 
     def _new_job(
         self, kind: JobKind, kernel_name: str, options: JobOptions, key: str
@@ -262,16 +273,11 @@ class ReproService:
         """Block until the job finishes (or ``asyncio.TimeoutError``)."""
         job = self.get_job(job_id)
         if not job.finished:
-            await asyncio.wait_for(
-                self._finish_event(job.id).wait(), timeout=timeout
-            )
+            event = self._finished.get(job.id)
+            if event is None:
+                event = self._finished[job.id] = asyncio.Event()
+            await asyncio.wait_for(event.wait(), timeout=timeout)
         return job
-
-    def _finish_event(self, job_id: str) -> asyncio.Event:
-        event = self._finished.get(job_id)
-        if event is None:
-            event = self._finished[job_id] = asyncio.Event()
-        return event
 
     # -- scheduling --------------------------------------------------------
 
@@ -312,7 +318,12 @@ class ReproService:
         obs_metrics.set_gauge("service.queue_depth", len(self.queue))
 
     def _complete(self, job: Job, payload: Dict[str, Any]) -> None:
-        """Store a worker verdict and persist it to the result cache."""
+        """Store a worker verdict and persist it to the result cache.
+
+        A verdict the cache cannot store (an unwritable or full cache
+        directory) still answers this job: the job ends ``DONE``,
+        uncached, and ``service.cache_write_errors`` counts the failure.
+        """
         job.verdict = payload["verdict"]
         job.engine_runs = int(payload["engine_runs"])
         self.engine_runs += job.engine_runs
@@ -320,14 +331,17 @@ class ReproService:
         self.jobs_completed += 1
         obs_metrics.inc("service.jobs_completed", kind=job.kind.value)
         obs_metrics.inc("service.engine_runs", job.engine_runs)
-        self.cache.put(
-            job.key,
-            job.verdict,
-            kind=job.kind.value,
-            kernel=job.kernel,
-            engine_runs=job.engine_runs,
-            wall_seconds=payload.get("worker_wall_seconds", 0.0),
-        )
+        try:
+            self.cache.put(
+                job.key,
+                job.verdict,
+                kind=job.kind.value,
+                kernel=job.kernel,
+                engine_runs=job.engine_runs,
+                wall_seconds=payload.get("worker_wall_seconds", 0.0),
+            )
+        except OSError:
+            obs_metrics.inc("service.cache_write_errors", kind=job.kind.value)
 
     def _fail(self, job: Job, exc: Exception) -> None:
         job.error = f"{type(exc).__name__}: {exc}"
@@ -339,7 +353,9 @@ class ReproService:
         """Final bookkeeping once a job leaves the scheduler for good."""
         job.finished_ts = time.time()
         self.queue.finish(job)
-        self._finish_event(job.id).set()
+        event = self._finished.pop(job.id, None)
+        if event is not None:
+            event.set()
         wall = job.wall_seconds() or 0.0
         obs_metrics.observe(
             "service.job_seconds", wall, kind=job.kind.value

@@ -15,7 +15,14 @@ verdict-relevant option).  The layout is deliberately primitive:
   its key, the verdict payload, and provenance (kind, kernel, engine
   runs paid, wall seconds, creation time), so ``repro status`` can
   attribute a hit and a schema bump invalidates every old entry on
-  read (stale entries are simply treated as misses).
+  read (stale entries are simply treated as misses);
+* **stat-checked index** — each instance remembers every entry it wrote
+  or read and validated, with the signature (inode, size, mtime) of the
+  file it came from.  A repeat hit costs one ``os.stat``: while the file
+  keeps that signature the remembered entry answers; a missing file is
+  a miss, and a changed one is read and validated again.  The disk stays
+  the store, so a restarted service, or a second one sharing the
+  directory, still hits.
 
 What invalidates a cached verdict is entirely a property of the *key*
 (see ``docs/service.md``): a program edit, a different reduction /
@@ -31,7 +38,7 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.obs import metrics as obs_metrics
 
@@ -41,6 +48,13 @@ __all__ = ["ResultCache"]
 ENTRY_SCHEMA = "repro.service.cache/v1"
 
 _KEY_CHARS = set("0123456789abcdef")
+
+#: What identifies one version of an entry file: (inode, size, mtime).
+Signature = Tuple[int, int, int]
+
+
+def _signature(st: os.stat_result) -> Signature:
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
 
 
 class ResultCache:
@@ -56,6 +70,9 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.writes = 0
+        #: key -> (entry, signature of the file it was written to or
+        #: read from); one item per distinct key this instance has seen.
+        self._index: Dict[str, Tuple[Dict[str, Any], Signature]] = {}
 
     # -- keys --------------------------------------------------------------
 
@@ -76,11 +93,25 @@ class ResultCache:
         """The cached entry for ``key``, or ``None`` (miss).
 
         Unreadable, truncated, or schema-mismatched entries count as
-        misses — the job just runs again and overwrites them.
+        misses — the job just runs again and overwrites them.  An entry
+        answered from the index is the same object on every hit: callers
+        must not mutate it.
         """
         path = self._path(key)
+        indexed = self._index.get(key)
+        if indexed is not None:
+            try:
+                unchanged = _signature(os.stat(path)) == indexed[1]
+            except OSError:
+                unchanged = False
+            if unchanged:
+                self.hits += 1
+                return indexed[0]
+            del self._index[key]
         try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
+            with open(path, encoding="utf-8") as fh:
+                signature = _signature(os.fstat(fh.fileno()))
+                entry = json.loads(fh.read())
         except (OSError, ValueError):
             self.misses += 1
             return None
@@ -91,6 +122,7 @@ class ResultCache:
         ):
             self.misses += 1
             return None
+        self._index[key] = (entry, signature)
         self.hits += 1
         return entry
 
@@ -120,6 +152,8 @@ class ResultCache:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(entry, fh)
+                fh.flush()
+                signature = _signature(os.fstat(fh.fileno()))
             os.replace(tmp, self._path(key))
         except BaseException:
             try:
@@ -127,6 +161,7 @@ class ResultCache:
             except OSError:
                 pass
             raise
+        self._index[key] = (entry, signature)
         self.writes += 1
         return entry
 

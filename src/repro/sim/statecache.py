@@ -69,6 +69,7 @@ import hashlib
 import pickle
 import re
 import types
+import weakref
 from typing import Any, Optional, Tuple
 
 from repro.obs import metrics as obs_metrics
@@ -251,6 +252,12 @@ def fingerprint_digest(fingerprint: Any) -> str:
 #: wholesale instead of serving keys computed under the old scheme.
 _PROGRAM_FINGERPRINT_SCHEMA = "repro.program-fingerprint/v2"
 
+#: Program object -> its digest.  Weak keys: remembering a digest never
+#: keeps a Program (say, a per-submission ``with_memory`` copy) alive.
+_PROGRAM_DIGESTS: "weakref.WeakKeyDictionary[Any, str]" = (
+    weakref.WeakKeyDictionary()
+)
+
 
 def program_fingerprint(program: Any) -> str:
     """Stable, content-addressed digest of a :class:`~repro.sim.program.Program`.
@@ -262,7 +269,21 @@ def program_fingerprint(program: Any) -> str:
     a sync-object declaration, the start set.  This is the key the
     persistent service result cache dedupes on
     (``docs/service.md`` documents the invalidation semantics).
+
+    Computed once per Program object: a Program is immutable, so its
+    digest is remembered for as long as the object lives and a repeat
+    call is one dictionary lookup.  Running a program does not change
+    its digest (``tests/sim/test_fingerprint_stability.py`` pins that
+    for every kernel's closure cells).
     """
+    digest = _PROGRAM_DIGESTS.get(program)
+    if digest is None:
+        digest = _PROGRAM_DIGESTS[program] = _program_digest(program)
+    return digest
+
+
+def _program_digest(program: Any) -> str:
+    """The uncached digest behind :func:`program_fingerprint`."""
     seen: set = set()
     canonical = (
         _PROGRAM_FINGERPRINT_SCHEMA,

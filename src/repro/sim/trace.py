@@ -3,12 +3,12 @@
 A :class:`Trace` is an append-only sequence of
 :class:`~repro.sim.events.Event` objects plus query helpers that detectors
 and analyses use constantly (per-variable access streams, per-thread
-streams, critical-section extents, the schedule itself for replay).
+streams, lock events, the schedule itself for replay).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.sim import events as ev
 
@@ -118,31 +118,6 @@ class Trace:
             if isinstance(e, (ev.AcquireEvent, ev.ReleaseEvent)):
                 if lock is None or e.lock == lock:
                     out.append(e)
-        return out
-
-    def critical_sections(self) -> List[Tuple[str, str, int, int]]:
-        """Extents of completed critical sections.
-
-        Returns ``(thread, lock, acquire_seq, release_seq)`` tuples; sections
-        still open at trace end are omitted.
-        """
-        open_sections: Dict[Tuple[str, str], int] = {}
-        out: List[Tuple[str, str, int, int]] = []
-        for e in self._events:
-            if isinstance(e, ev.AcquireEvent):
-                open_sections[(e.thread, e.lock)] = e.seq
-            elif isinstance(e, ev.TryAcquireEvent) and e.success:
-                open_sections[(e.thread, e.lock)] = e.seq
-            elif isinstance(e, ev.WaitResumeEvent):
-                open_sections[(e.thread, e.lock)] = e.seq
-            elif isinstance(e, ev.ReleaseEvent):
-                start = open_sections.pop((e.thread, e.lock), None)
-                if start is not None:
-                    out.append((e.thread, e.lock, start, e.seq))
-            elif isinstance(e, ev.WaitParkEvent):
-                start = open_sections.pop((e.thread, e.lock), None)
-                if start is not None:
-                    out.append((e.thread, e.lock, start, e.seq))
         return out
 
     # -- rendering / serialisation ------------------------------------------

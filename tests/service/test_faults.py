@@ -1,10 +1,13 @@
-"""Fault injection: the service survives fork workers that die.
+"""Fault injection: the service survives fork workers that die and a
+cache it cannot write.
 
 A SIGKILLed worker (the OOM killer's signal) breaks the whole
 ``ProcessPoolExecutor``.  The fleet must replace the broken pool once,
 count ``service.worker_restarts``, and run the interrupted job once
 more; a job that breaks the fresh pool too ends FAILED and uncached.
-Either way later jobs still run and ``status`` still answers.
+Either way later jobs still run and ``status`` still answers.  A verdict
+the result cache cannot store still answers its job, uncached, and
+``service.cache_write_errors`` counts it.
 """
 
 from __future__ import annotations
@@ -127,3 +130,31 @@ def test_job_whose_worker_dies_twice_fails_uncached(
     assert status["totals"]["failed"] == 1
     assert status["totals"]["completed"] == 1
     assert [job["state"] for job in status["jobs"]] == ["failed", "done"]
+
+
+def test_unwritable_cache_answers_jobs_uncached(tmp_path, registry):
+    """A cache root that is a regular file (``chmod`` does not stop
+    root): every write fails, every job still ends DONE with its
+    verdict, and nothing counts as failed."""
+    writable = tmp_path / "writable"
+    writable.mkdir()
+    (tmp_path / "cache").write_text("a file, not a directory\n")
+
+    async def body(service):
+        return [
+            await _finish(service, "detect", "atomicity_lost_update")
+            for _ in range(2)
+        ]
+
+    (reference, _), _ = asyncio.run(_serve(writable, body))
+    jobs, status = asyncio.run(_serve(tmp_path, body))
+    for job in jobs:
+        assert job.state is JobState.DONE, job.error
+        assert not job.cached
+        assert job.verdict == reference.verdict
+    # Both blocked writes are counted; the writable run's write was not.
+    assert registry.counter("service.cache_write_errors", kind="detect") == 2
+    assert status["ok"]
+    assert status["totals"]["completed"] == 2
+    assert status["totals"]["failed"] == 0
+    assert status["totals"]["cache_hits"] == 0

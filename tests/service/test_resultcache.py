@@ -224,3 +224,45 @@ def test_put_leaves_no_temp_droppings(tmp_path):
         f"{KEY_A}.json",
         f"{KEY_B}.json",
     ]
+
+
+# -- the in-memory index -----------------------------------------------------
+
+
+def test_hit_answers_the_stored_entry_without_rereading(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    stored = _put(cache)
+    assert cache.get(KEY_A) is stored
+    assert cache.get(KEY_A) is stored
+    assert (cache.hits, cache.misses) == (2, 0)
+
+
+def test_file_deleted_after_a_hit_is_a_miss(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    _put(cache)
+    assert cache.get(KEY_A) is not None
+    (cache.root / f"{KEY_A}.json").unlink()
+    assert cache.get(KEY_A) is None
+    assert (cache.hits, cache.misses) == (1, 1)
+
+
+def test_file_replaced_by_another_instance_is_reread(tmp_path):
+    root = tmp_path / "cache"
+    cache = ResultCache(root)
+    _put(cache, verdict={"kind": "detect", "manifested": False})
+    assert cache.get(KEY_A)["verdict"]["manifested"] is False
+    replaced = _put(ResultCache(root), verdict={"kind": "detect", "manifested": True})
+    entry = cache.get(KEY_A)
+    assert entry == replaced
+    # Read and validated once, then answered from the index again.
+    assert cache.get(KEY_A) is entry
+
+
+def test_new_instance_hits_from_disk_then_from_its_index(tmp_path):
+    root = tmp_path / "cache"
+    stored = _put(ResultCache(root))
+    reopened = ResultCache(root)
+    entry = reopened.get(KEY_A)
+    assert entry == stored and entry is not stored
+    assert reopened.get(KEY_A) is entry
+    assert (reopened.hits, reopened.misses, reopened.writes) == (2, 0, 0)

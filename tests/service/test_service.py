@@ -536,3 +536,126 @@ def test_run_job_applies_memory_override():
     # ... and the fix verifies clean under the weak model itself.
     check = run_job("check", "weakmem_store_buffer", {"memory": "tso"})
     assert check["verdict"]["clean"] is True
+
+
+# -- the hit path --------------------------------------------------------------
+
+#: One option set per verdict-relevant knob, plus both memory overrides.
+_KEY_OPTION_SETS = (
+    {},
+    {"reduction": "dpor"},
+    {"memoize": True},
+    {"max_schedules": 500},
+    {"memory": "sc"},
+    {"memory": "tso"},
+)
+
+
+def test_service_keys_equal_fresh_kernel_keys(tmp_path):
+    """The service keys every submission on one kernel instance per name;
+    each key must equal the key of a freshly built kernel."""
+    from repro.kernels import get_kernel, kernel_names
+    from repro.service.jobs import kernel_cache_key
+
+    kinds = [kind for kind in JobKind if kind is not JobKind.SOURCE]
+
+    async def main():
+        # Never started: every submission is keyed and queued, none runs.
+        service = _service(tmp_path, max_pending=1024)
+        keys = {}
+        for _ in range(2):  # the second round keys on remembered digests
+            for name in kernel_names():
+                for kind in kinds:
+                    for index, raw in enumerate(_KEY_OPTION_SETS):
+                        job = service.submit(kind, name, raw)
+                        keys.setdefault((name, kind, index), set()).add(job.key)
+        await service.close()
+        return keys
+
+    keys = asyncio.run(main())
+    assert len(keys) == len(kernel_names()) * len(kinds) * len(_KEY_OPTION_SETS)
+    for (name, kind, index), seen in keys.items():
+        options = JobOptions.from_dict(_KEY_OPTION_SETS[index])
+        fresh = kernel_cache_key(kind, get_kernel(name), options)
+        assert seen == {fresh}, (name, kind, options)
+
+
+def test_repeat_submissions_fingerprint_each_program_once(tmp_path, monkeypatch):
+    from repro.sim import statecache
+
+    digested = []
+    original = statecache._program_digest
+
+    def counting(program):
+        digested.append(program)
+        return original(program)
+
+    monkeypatch.setattr(statecache, "_program_digest", counting)
+
+    async def main():
+        service = _service(tmp_path)
+        for _ in range(3):
+            for kind in ("detect", "check", "explore", "static"):
+                service.submit(kind, "deadlock_abba")
+        await service.close()
+        return service._kernels["deadlock_abba"]
+
+    kernel = asyncio.run(main())
+    assert len(digested) == 2
+    assert {id(p) for p in digested} == {id(kernel.buggy), id(kernel.fixed)}
+
+
+def test_cached_job_shares_the_first_jobs_verdict(tmp_path):
+    async def main():
+        service = _service(tmp_path)
+        await service.start()
+        try:
+            first = service.submit("explore", "order_lost_wakeup")
+            await _finished(service, first)
+            hits = [service.submit("explore", "order_lost_wakeup") for _ in range(2)]
+        finally:
+            await service.close()
+        return first, hits
+
+    first, hits = asyncio.run(main())
+    assert first.state is JobState.DONE and not first.cached
+    for hit in hits:
+        # Equal, and the one stored object rather than a parsed copy.
+        assert hit.cached and hit.verdict is first.verdict
+
+
+def test_finish_events_are_kept_only_for_jobs_in_flight(tmp_path):
+    async def main():
+        service = _service(tmp_path, size=1)
+        # Not started yet: the queued job cannot finish, so a wait on it
+        # times out and leaves its event behind for the next waiter.
+        first = service.submit("detect", "atomicity_lost_update")
+        with pytest.raises(asyncio.TimeoutError):
+            await service.wait(first.id, timeout=0.01)
+        assert set(service._finished) == {first.id}
+        second = service.submit("check", "order_lost_wakeup")
+        coalesced = service.submit("detect", "atomicity_lost_update")
+        assert coalesced is first
+        waiters = [
+            asyncio.create_task(service.wait(job.id, timeout=120))
+            for job in (first, coalesced, second)
+        ]
+        await asyncio.sleep(0)
+        assert set(service._finished) == {first.id, second.id}
+        await service.start()
+        try:
+            woken = await asyncio.gather(*waiters)
+            hits = [
+                service.submit("detect", "atomicity_lost_update"),
+                service.submit("check", "order_lost_wakeup"),
+            ]
+            for hit in hits:
+                assert hit.cached
+                assert await service.wait(hit.id, timeout=0) is hit
+        finally:
+            await service.close()
+        return woken, service
+
+    woken, service = asyncio.run(main())
+    assert [job.state for job in woken] == [JobState.DONE] * 3
+    assert service._finished == {}

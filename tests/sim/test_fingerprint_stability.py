@@ -151,3 +151,50 @@ def test_fingerprint_digest_deterministic():
     assert fingerprint_digest(fp) == fingerprint_digest(fp)
     assert len(fingerprint_digest(fp)) == 64
     assert fingerprint_digest(fp) != fingerprint_digest(fp + ("x",))
+
+
+def test_kernel_fingerprints_survive_a_full_search():
+    """The digest is remembered per Program object, which is sound only
+    if running a program never changes its content: no thread body may
+    rebind a closure cell or a default.  An uncached digest after a
+    complete search must equal the one before it, for every kernel."""
+    from repro.kernels import get_kernel, kernel_names
+    from repro.sim import enumerate_outcomes
+    from repro.sim.statecache import _program_digest
+
+    for name in kernel_names():
+        kernel = get_kernel(name)
+        for program in (kernel.buggy, kernel.fixed):
+            before = _program_digest(program)
+            assert enumerate_outcomes(program).complete, program.name
+            assert _program_digest(program) == before, program.name
+            assert program_fingerprint(program) == before
+
+
+def test_fingerprint_is_computed_once_per_program(monkeypatch):
+    from repro.sim import statecache
+
+    digested = []
+
+    def counting(program):
+        digested.append(program)
+        return original(program)
+
+    original = statecache._program_digest
+    monkeypatch.setattr(statecache, "_program_digest", counting)
+    first, second = _make_counter(), _make_counter()
+    for _ in range(3):
+        assert program_fingerprint(first) == program_fingerprint(second)
+    assert digested == [first, second]
+
+
+def test_remembered_digest_does_not_keep_the_program_alive():
+    import gc
+    import weakref
+
+    program = _make_counter()
+    program_fingerprint(program)
+    alive = weakref.ref(program)
+    del program
+    gc.collect()
+    assert alive() is None

@@ -78,14 +78,6 @@ class TestQueries:
         trace = trace_of(helpers.locked_counter())
         assert trace.deadlock() is None
 
-    def test_critical_sections_extents(self):
-        trace = trace_of(helpers.locked_counter(), CooperativeScheduler())
-        sections = trace.critical_sections()
-        assert len(sections) == 2
-        for thread, lock, start, end in sections:
-            assert lock == "L"
-            assert start < end
-
     def test_lock_events_filter(self):
         trace = trace_of(helpers.locked_counter())
         assert len(trace.lock_events("L")) == 4

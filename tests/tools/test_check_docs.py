@@ -1,4 +1,5 @@
-"""The docs/code gate: the command table must not list stale flags."""
+"""The docs/code gate: no stale flags in the command table, and every
+emitted metric in the catalogue."""
 
 import importlib.util
 from pathlib import Path
@@ -44,3 +45,44 @@ def test_table_of_defined_flags_is_clean(check_docs):
 
 def test_repo_docs_pass(check_docs, capsys):
     assert check_docs.main() == 0, capsys.readouterr().err
+
+
+SOURCE = '''\
+obs_metrics.inc("service.submissions", kind=kind.value)
+registry.inc(
+    "engine.runs", 1, program=name,
+)
+registry.observe("static.wall_seconds", seconds)
+registry.set_gauge("statecache.size", len(seen))
+registry.inc(f"pipeline.{key}", value)
+tracker.observe(access)
+'''
+
+
+def test_literal_metric_names_are_collected(check_docs):
+    assert check_docs.emitted_metrics(SOURCE) == [
+        "service.submissions",
+        "engine.runs",
+        "static.wall_seconds",
+        "statecache.size",
+    ]
+
+
+def test_uncatalogued_metric_is_a_problem(check_docs, tmp_path, monkeypatch):
+    src = tmp_path / "src" / "repro"
+    src.mkdir(parents=True)
+    (src / "emitter.py").write_text(SOURCE)
+    catalogue = tmp_path / "observability.md"
+    catalogue.write_text(
+        "| `service.submissions` | `engine.runs` | `statecache.size` |\n"
+        "static.wall_seconds is named here, but not as a catalogue entry\n"
+    )
+    monkeypatch.setattr(check_docs, "REPO", tmp_path)
+    monkeypatch.setattr(check_docs, "SRC", src)
+    monkeypatch.setattr(check_docs, "OBSERVABILITY_DOC", catalogue)
+    problems = []
+    check_docs.check_metrics(problems)
+    assert problems == [
+        "observability.md: metric static.wall_seconds "
+        "(src/repro/emitter.py) is not catalogued"
+    ]

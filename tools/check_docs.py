@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs/code consistency gate (run in CI).
 
-Four checks, all against the working tree:
+Five checks, all against the working tree:
 
 1. **Module coverage** — every ``.py`` module under ``src/repro/`` must
    be mentioned by filename in ``docs/architecture.md`` (the one-page
@@ -23,6 +23,9 @@ Four checks, all against the working tree:
    ``src/repro/cli.py``, so a deleted flag cannot linger there.
 4. **Link integrity** — every relative markdown link in ``docs/*.md``
    and ``README.md`` must resolve to an existing file.
+5. **Metric catalogue** — every metric name passed as a string literal
+   to ``inc``, ``observe`` or ``set_gauge`` under ``src/repro/`` must
+   appear, in backticks, in ``docs/observability.md``.
 
 Exit status 0 when clean; 1 with one line per problem otherwise.
 """
@@ -40,6 +43,7 @@ ARCHITECTURE = DOCS / "architecture.md"
 STATIC_DOC = DOCS / "static.md"
 SIMULATOR_DOC = DOCS / "simulator.md"
 SERVICE_DOC = DOCS / "service.md"
+OBSERVABILITY_DOC = DOCS / "observability.md"
 
 #: The simulator's search layer plus the pluggable memory models:
 #: docs/simulator.md is the subsystem page and must discuss each of these
@@ -58,6 +62,9 @@ FLAG_RE = re.compile(r"\"(--[a-z][a-z0-9-]*)\"")
 DOC_FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
 #: The header row of the command table in docs/architecture.md.
 COMMAND_TABLE_HEADER = "| command | flags | does |"
+#: A metric named by a string literal in an ``inc``/``observe``/
+#: ``set_gauge`` call; computed names (f-strings) are not matched.
+METRIC_CALL_RE = re.compile(r"\b(?:inc|observe|set_gauge)\(\s*\"([a-z][a-z0-9_.]*)\"")
 
 
 def check_modules(problems: list) -> None:
@@ -177,20 +184,37 @@ def check_links(problems: list) -> None:
                 )
 
 
+def emitted_metrics(source: str) -> list:
+    """The literal metric names ``source`` passes to a metrics call."""
+    return METRIC_CALL_RE.findall(source)
+
+
+def check_metrics(problems: list) -> None:
+    catalogue = OBSERVABILITY_DOC.read_text(encoding="utf-8")
+    for path in sorted(SRC.rglob("*.py")):
+        for name in emitted_metrics(path.read_text(encoding="utf-8")):
+            if f"`{name}`" not in catalogue:
+                problems.append(
+                    f"{OBSERVABILITY_DOC.relative_to(REPO)}: metric {name} "
+                    f"(src/repro/{path.relative_to(SRC)}) is not catalogued"
+                )
+
+
 def main() -> int:
     problems: list = []
     check_modules(problems)
     check_cli_flags(problems)
     check_command_table(problems)
     check_links(problems)
+    check_metrics(problems)
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
         print(f"check_docs: {len(problems)} problem(s)", file=sys.stderr)
         return 1
     print(
-        "check_docs: architecture tour, CLI flags, command table, and links "
-        "all consistent"
+        "check_docs: architecture tour, CLI flags, command table, links "
+        "and metric catalogue all consistent"
     )
     return 0
 
