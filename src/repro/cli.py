@@ -533,18 +533,15 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _measure_directed(kernel, reduction=None) -> dict:
+def _measure_directed(kernel, targets, reduction=None) -> dict:
     """Schedules to first manifestation, undirected DFS vs race-directed."""
     from repro.sim.explorer import make_explorer
 
     counts = {}
-    for mode, targets in (
-        ("undirected", None),
-        ("directed", kernel.static_targets()),
-    ):
+    for mode, mode_targets in (("undirected", None), ("directed", targets)):
         explorer = make_explorer(
             kernel.buggy, 20000, 5000, None,
-            keep_matches=1, targets=targets, reduction=reduction,
+            keep_matches=1, targets=mode_targets, reduction=reduction,
         )
         result = explorer.explore(predicate=kernel.failure, stop_on_first=True)
         counts[mode] = result.schedules_run if result.found else None
@@ -562,25 +559,14 @@ def _check_source_module(module, budget: int) -> dict:
     """
     from repro.static.lift import confirm
     from repro.static.pysource import annotation_matches
-    from repro.static.report import analyse_summary
 
-    report = analyse_summary(module.summary)
-    active = report.active()
     outcome = confirm(module.summary, max_schedules=budget)
-    confirmed_keys = {
-        (o.kind, o.variables, o.resources)
-        for o in outcome.outcomes
-        if o.confirmed
-    }
     bugs = []
     ok = True
     for bug in module.bugs:
-        matched = [c for c in active if annotation_matches(bug, c)]
+        matched = [o for o in outcome.outcomes if annotation_matches(bug, o)]
         recalled = bool(matched)
-        manifested = any(
-            (c.kind, c.variables, c.resources) in confirmed_keys
-            for c in matched
-        )
+        manifested = any(o.confirmed for o in matched)
         if not recalled or (bug.confirmable and not manifested):
             ok = False
         bugs.append(
@@ -600,7 +586,7 @@ def _check_source_module(module, budget: int) -> dict:
         "approximate": any(
             t.approximate for t in module.summary.threads.values()
         ),
-        "candidates": len(active),
+        "candidates": len(outcome.outcomes),
         "confirmed": len(outcome.confirmed),
         "statuses": outcome.statuses,
         "clean": outcome.clean,
@@ -694,7 +680,7 @@ def _cmd_static(args) -> int:
         )
         all_sound = all_sound and comparison.sound
         directed = (
-            _measure_directed(kernel, args.reduction)
+            _measure_directed(kernel, comparison.static.pairs, args.reduction)
             if args.direct else None
         )
         if args.json:

@@ -19,9 +19,10 @@ Two execution modes share one API:
 
 :meth:`DetectorSuite.analyse_static` closes the loop with the static
 layer: it runs :func:`repro.static.analyse` (zero schedules) next to a
-dynamic exploration of the same program and scores the static
-predictions against the dynamically confirmed findings — the
-precision/recall evidence behind ``repro static``.
+dynamic exploration of the same program, and :func:`compare_static`
+scores the static predictions against the dynamically confirmed
+findings — the precision/recall evidence behind ``repro static`` and
+the lifter's :func:`repro.static.lift.confirm`.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ __all__ = [
     "DetectorSuite",
     "StaticComparison",
     "SuiteResult",
+    "compare_static",
     "default_detectors",
 ]
 
@@ -87,9 +89,9 @@ class SuiteResult:
     """Per-detector reports for one set of traces."""
 
     reports: Dict[str, Report] = field(default_factory=dict)
-    #: For :meth:`DetectorSuite.analyse_online`: the exploration result
-    #: the findings came from (pipeline counters live on
-    #: ``exploration.pipeline_stats``).  ``None`` for trace-based modes.
+    #: For the exploring modes: the exploration the findings came from
+    #: (online pipeline counters live on ``exploration.pipeline_stats``).
+    #: ``None`` for trace-based modes.
     exploration: Optional[ExplorationResult] = None
 
     def report(self, detector: str) -> Report:
@@ -292,10 +294,38 @@ def _record_suite(result: SuiteResult) -> SuiteResult:
     return result
 
 
-def _record_static_comparison(
-    comparison: StaticComparison, wall_seconds: float
-) -> None:
-    """Metrics + runlog record for one static-vs-dynamic cross-check."""
+def compare_static(static: "StaticReport", dynamic: SuiteResult) -> StaticComparison:
+    """Score static predictions against dynamically confirmed findings.
+
+    Matches each in-scope dynamic finding against the active static
+    candidates of the *same* bug class — by shared variable for races /
+    atomicity / order violations, by resource-set inclusion for
+    deadlocks.  The result carries both error directions: ``missed``
+    (unsoundness over this program) and ``unconfirmed_candidates``
+    (imprecision).  Publishes the ``static.compare.*`` counters and one
+    ``suite.analyse_static`` record (``wall_seconds``: the static
+    analysis plus ``dynamic``'s exploration).
+    """
+    comparison = StaticComparison(
+        program=static.program, static=static, dynamic=dynamic,
+    )
+    active = static.active()
+    for finding in _dedup_findings(dynamic):
+        if not _static_scope(finding):
+            comparison.out_of_scope.append(finding)
+            continue
+        comparison.confirmed.append(finding)
+        predicted = any(_predicts(cand, finding) for cand in active)
+        (comparison.recalled if predicted else comparison.missed).append(
+            finding
+        )
+    for cand in active:
+        bucket = (
+            comparison.confirmed_candidates
+            if any(_predicts(cand, f) for f in comparison.confirmed)
+            else comparison.unconfirmed_candidates
+        )
+        bucket.append(cand)
     registry = obs_metrics.active()
     if registry is not None:
         registry.inc("static.compare.runs", 1)
@@ -307,6 +337,7 @@ def _record_static_comparison(
             len(comparison.unconfirmed_candidates),
         )
     if obs_runlog.active_runlog() is not None:
+        search = dynamic.exploration
         obs_runlog.emit(
             "suite.analyse_static",
             program=comparison.program,
@@ -317,8 +348,10 @@ def _record_static_comparison(
             missed=len(comparison.missed),
             out_of_scope=len(comparison.out_of_scope),
             unconfirmed=len(comparison.unconfirmed_candidates),
-            wall_seconds=wall_seconds,
+            wall_seconds=static.wall_seconds
+            + (search.wall_seconds if search is not None else 0.0),
         )
+    return comparison
 
 
 class DetectorSuite:
@@ -373,18 +406,22 @@ class DetectorSuite:
         ``reduction`` prunes schedules equivalent up to swapping
         independent operations (see
         :func:`~repro.sim.explorer.make_explorer`) — sound here because
-        at least one representative of every outcome still runs.
+        at least one representative of every outcome still runs.  The
+        search's :class:`~repro.sim.explorer.ExplorationResult` (statuses,
+        outcomes, completeness) rides on the result's ``exploration``.
         """
         explorer = make_explorer(
             program, max_schedules, 5000, None,
             keep_matches=keep_matches, reduction=reduction,
         )
-        result = explorer.explore(predicate=predicate)
-        traces = [run.trace for run in result.matching]
+        exploration = explorer.explore(predicate=predicate)
+        traces = [run.trace for run in exploration.matching]
         if not traces:
             baseline = run_program(program, CooperativeScheduler())
             traces = [baseline.trace]
-        return self.analyse_many(traces)
+        result = self.analyse_many(traces)
+        result.exploration = exploration
+        return result
 
     def analyse_static(
         self,
@@ -399,48 +436,16 @@ class DetectorSuite:
 
         Runs :func:`repro.static.analyse` over the program (zero
         schedules), then a dynamic :meth:`analyse_program` pass, and
-        matches each confirmed dynamic finding against the active static
-        candidates of the *same* bug class — by shared variable for
-        races / atomicity / order violations, by resource-set inclusion
-        for deadlocks.  The result carries both error directions:
-        ``missed`` (dynamic findings no static candidate predicts —
-        unsoundness over this program) and ``unconfirmed_candidates``
-        (static predictions exploration never confirmed — imprecision).
+        scores the one against the other with :func:`compare_static`.
         """
         from repro.static import analyse as static_analyse
 
-        start = perf_counter()
         static = static_analyse(program)
         dynamic = self.analyse_program(
-            program,
-            predicate=predicate,
-            max_schedules=max_schedules,
-            keep_matches=keep_matches,
-            reduction=reduction,
+            program, predicate, max_schedules,
+            keep_matches=keep_matches, reduction=reduction,
         )
-        comparison = StaticComparison(
-            program=program.name, static=static, dynamic=dynamic,
-        )
-        for finding in _dedup_findings(dynamic):
-            if not _static_scope(finding):
-                comparison.out_of_scope.append(finding)
-                continue
-            comparison.confirmed.append(finding)
-            predicted = any(
-                _predicts(cand, finding) for cand in static.active()
-            )
-            (comparison.recalled if predicted else comparison.missed).append(
-                finding
-            )
-        for cand in static.active():
-            bucket = (
-                comparison.confirmed_candidates
-                if any(_predicts(cand, f) for f in comparison.confirmed)
-                else comparison.unconfirmed_candidates
-            )
-            bucket.append(cand)
-        _record_static_comparison(comparison, perf_counter() - start)
-        return comparison
+        return compare_static(static, dynamic)
 
     def analyse_online(
         self,

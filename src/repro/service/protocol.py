@@ -115,7 +115,6 @@ async def _dispatch(
             }
         return {"ok": True, "job": job.to_dict()}
     if op == "status":
-        service.cache.record_metrics()
         return {"ok": True, **Dashboard(service).as_dict()}
     if op == "shutdown":
         stop.set()

@@ -48,6 +48,9 @@ from repro.service.workers import WorkerFleet
 
 __all__ = ["AdmissionError", "JobQueue", "ReproService"]
 
+#: Finished jobs kept findable by id (the newest); in-flight jobs always are.
+FINISHED_JOBS_KEPT = 1024
+
 
 class AdmissionError(JobError):
     """The backlog is full; the client should retry later."""
@@ -122,7 +125,10 @@ class ReproService:
         self.cache = cache if isinstance(cache, ResultCache) else ResultCache(cache)
         self.fleet = fleet if fleet is not None else WorkerFleet()
         self.queue = JobQueue(max_pending=max_pending)
+        #: In-flight jobs plus the newest finished ones, in submission order.
         self.jobs: Dict[str, Job] = {}
+        #: Ids of the finished jobs in ``jobs``, oldest first.
+        self._finished_ids: Deque[str] = deque()
         self.started_ts = time.time()
         # Lifetime totals, read by the dashboard.
         self.submissions = 0
@@ -213,6 +219,7 @@ class ReproService:
             self.cache_hits += 1
             self.jobs_completed += 1
             obs_metrics.inc("service.cache_hits", kind=kind.value)
+            self._retire(job)
             return job
 
         job = self._new_job(kind, kernel_name, options, key)
@@ -263,7 +270,8 @@ class ReproService:
     # -- results -----------------------------------------------------------
 
     def get_job(self, job_id: str) -> Job:
-        """Look a job up by id (``JobError`` for ids never issued)."""
+        """Look a job up by id (``JobError`` for ids never issued or
+        finished too long ago; see :data:`FINISHED_JOBS_KEPT`)."""
         try:
             return self.jobs[job_id]
         except KeyError:
@@ -353,6 +361,7 @@ class ReproService:
         """Final bookkeeping once a job leaves the scheduler for good."""
         job.finished_ts = time.time()
         self.queue.finish(job)
+        self._retire(job)
         event = self._finished.pop(job.id, None)
         if event is not None:
             event.set()
@@ -366,6 +375,12 @@ class ReproService:
             queue_depth=len(self.queue),
             fleet=self.fleet.describe(),
         )
+
+    def _retire(self, job: Job) -> None:
+        """Count ``job`` as finished; forget the oldest finished past the window."""
+        self._finished_ids.append(job.id)
+        if len(self._finished_ids) > FINISHED_JOBS_KEPT:
+            del self.jobs[self._finished_ids.popleft()]
 
     # -- status ------------------------------------------------------------
 

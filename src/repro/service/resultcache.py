@@ -26,9 +26,10 @@ verdict-relevant option).  The layout is deliberately primitive:
 
 What invalidates a cached verdict is entirely a property of the *key*
 (see ``docs/service.md``): a program edit, a different reduction /
-preemption bound / worker count / memoization setting, a different
-schedule budget, or a bump of either the key schema or this entry
-schema.  The cache itself never inspects verdicts.
+preemption bound / memoization setting / memory model, a different
+schedule budget, or a bump of the key schema (or, for source jobs, of
+``PYSOURCE_VERSION``) or of this entry schema.  The cache itself never
+inspects verdicts.
 """
 
 from __future__ import annotations
@@ -178,26 +179,26 @@ class ResultCache:
         return self.hits / lookups if lookups else 0.0
 
     def stats(self) -> Dict[str, Any]:
-        """Dashboard-ready counters."""
+        """Dashboard-ready counters, also published to :mod:`repro.obs.metrics`.
+
+        The directory is scanned once per call.  The published totals are
+        gauges, not counters: ``repro status`` asks on every request, so
+        last-write-wins is the safe choice (the per-event ``service.*``
+        counters live in the service core).
+        """
+        entries = len(self)
+        registry = obs_metrics.active()
+        if registry is not None:
+            registry.set_gauge(
+                "service.cache_lookup_total", self.hits + self.misses
+            )
+            registry.set_gauge("service.cache_hit_total", self.hits)
+            registry.set_gauge("service.cache_entries", entries)
         return {
             "path": str(self.root),
-            "entries": len(self),
+            "entries": entries,
             "hits": self.hits,
             "misses": self.misses,
             "writes": self.writes,
             "hit_rate": self.hit_rate(),
         }
-
-    def record_metrics(self) -> None:
-        """Publish totals to :mod:`repro.obs.metrics` (no-op when disabled).
-
-        Gauges, not counters: this may be called on every ``status``
-        request, so last-write-wins semantics are the safe choice (the
-        per-event ``service.*`` counters live in the service core).
-        """
-        registry = obs_metrics.active()
-        if registry is None:
-            return
-        registry.set_gauge("service.cache_lookup_total", self.hits + self.misses)
-        registry.set_gauge("service.cache_hit_total", self.hits)
-        registry.set_gauge("service.cache_entries", len(self))

@@ -20,7 +20,8 @@ Exploration runs start with a *forced prefix*: the schedule of the
 branch being re-executed.  The engine owns it (``prefix=``) and replays
 it before the first scheduler decision, checking only that each forced
 thread is enabled — that check is the divergence check.  Replayed steps
-make no scheduler call and no enabled-set scan.  When the caller also
+make no scheduler call, no enabled-set scan and no ``enabled_filter``
+call (the two options exclude each other).  When the caller also
 passes the trace of the run the prefix was cut from (``prefix_events=``),
 replayed steps build no events and call no hook either: the trace starts
 as that run's first events, which are immutable and identical because
@@ -116,7 +117,9 @@ class Engine:
     ``prefix_events`` — the trace of the run the prefix was cut from —
     ``event_hook`` sees no event before the last forced step, so the
     caller must only pass it when the hook needs none (a streaming
-    pipeline restored from the branch point's snapshot).
+    pipeline restored from the branch point's snapshot).  An
+    ``enabled_filter`` acts only in the decision loop, so combining it
+    with a ``prefix`` raises :class:`ValueError`.
     """
 
     def __init__(
@@ -129,6 +132,11 @@ class Engine:
         prefix: Sequence[str] = (),
         prefix_events: Optional[Sequence[ev.Event]] = None,
     ):
+        if prefix and enabled_filter is not None:
+            raise ValueError(
+                "an enabled_filter cannot be combined with a forced prefix: "
+                "the prefix replays without consulting the filter"
+            )
         self.program = program
         self.scheduler = scheduler
         self.max_steps = max_steps
@@ -256,10 +264,8 @@ class Engine:
         The one enabledness test per step is the divergence check on the
         forced thread, plus — only when the thread changes — the same
         test on the thread that ran before it, which is what a
-        preemption costs.  An ``enabled_filter`` still sees every step:
-        filters may keep state or depend on the path.
+        preemption costs.
         """
-        enabled_filter = self.enabled_filter
         last = len(self._prefix) - 1
         previous: Optional[str] = None
         for index, chosen in enumerate(self._prefix):
@@ -271,26 +277,13 @@ class Engine:
                 break
             if index == last:
                 self._end_reuse()  # the new branch emits normally
-            if enabled_filter is None:
-                if not self._can_run(chosen):
-                    raise _divergence(index, chosen, self._enabled_threads())
-                preempted = (
-                    previous is not None
-                    and previous != chosen
-                    and self._can_run(previous)
-                )
-            else:
-                allowed = enabled = self._enabled_threads()
-                filtered = enabled_filter(self, list(enabled))
-                if filtered:
-                    allowed = filtered
-                if chosen not in allowed:
-                    raise _divergence(index, chosen, allowed)
-                preempted = (
-                    previous is not None
-                    and previous != chosen
-                    and previous in allowed
-                )
+            if not self._can_run(chosen):
+                raise _divergence(index, chosen, self._enabled_threads())
+            preempted = (
+                previous is not None
+                and previous != chosen
+                and self._can_run(previous)
+            )
             if preempted:
                 self.prefix_preemptions += 1
             self.schedule.append(chosen)

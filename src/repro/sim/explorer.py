@@ -54,7 +54,7 @@ from repro.errors import ExplorationError, ReproError
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs import runlog as obs_runlog
-from repro.sim.engine import Engine, EnabledFilter, RunResult, RunStatus
+from repro.sim.engine import Engine, RunResult, RunStatus
 from repro.sim.program import Program
 from repro.sim.scheduler import Scheduler
 from repro.sim.statecache import MemoHit, StateCache, state_fingerprint
@@ -391,19 +391,11 @@ class _Search:
         targets: Optional[Sequence[Any]],
         *,
         preemption_bound: Optional[int] = None,
-        enabled_filter: Optional[EnabledFilter] = None,
     ):
-        if memoize and enabled_filter is not None:
-            raise ExplorationError(
-                "memoize=True cannot be combined with an enabled_filter: "
-                "filters may depend on the execution path (e.g. "
-                "executed_labels), which state fingerprints do not capture"
-            )
         self.program = program
         self.max_schedules = max_schedules
         self.max_steps = max_steps
         self.preemption_bound = preemption_bound
-        self.enabled_filter = enabled_filter
         self.keep_matches = keep_matches
         self.memoize = memoize
         #: Race-directed exploration: an ordered sequence of target pairs
@@ -557,7 +549,6 @@ class _Search:
             self.program,
             scheduler,
             max_steps=self.max_steps,
-            enabled_filter=self.enabled_filter,
             event_hook=hook,
             prefix=prefix,
             prefix_events=parent,
@@ -615,7 +606,6 @@ class Explorer(_Search):
         max_schedules: int = 20000,
         max_steps: int = 5000,
         preemption_bound: Optional[int] = None,
-        enabled_filter: Optional[EnabledFilter] = None,
         keep_matches: int = 16,
         memoize: bool = False,
         pipeline: Optional[Any] = None,
@@ -623,8 +613,7 @@ class Explorer(_Search):
     ):
         super().__init__(
             program, max_schedules, max_steps, keep_matches, memoize,
-            pipeline, targets,
-            preemption_bound=preemption_bound, enabled_filter=enabled_filter,
+            pipeline, targets, preemption_bound=preemption_bound,
         )
 
     def _scheduler(self, paid: int) -> _RecordingScheduler:

@@ -31,9 +31,9 @@ parties — default to 1 and 2 respectively; the study's bug shapes do
 not depend on them.
 
 :func:`confirm` packages the whole static→dynamic pipeline for one
-module: analyse the summary, lift it, explore the lifted program, and
-decide per candidate whether it *manifested* (matching dynamic finding,
-or a crash / deadlock / hang status its shape predicts).
+module: analyse the summary once, lift it, search the lifted program
+once, and decide per candidate whether it *manifested* (matching dynamic
+finding, or a crash / deadlock / hang status its shape predicts).
 """
 
 from __future__ import annotations
@@ -449,59 +449,47 @@ def _status_confirms(
     return ""
 
 
-def confirm(
-    summary: ProgramSummary,
-    max_schedules: int = 2000,
-    max_steps: int = 4000,
-    reduction: Optional[str] = "dpor",
-) -> LiftOutcome:
+def confirm(summary: ProgramSummary, max_schedules: int = 2000) -> LiftOutcome:
     """Lift ``summary`` and dynamically confirm its static candidates.
 
-    Two confirmation routes per candidate, either suffices:
+    One static pass — the battery over ``summary`` itself, which the
+    lifted program round-trips to — and one DPOR search of the lifted
+    program (:meth:`~repro.detectors.suite.DetectorSuite.analyse_program`:
+    up to ``max_schedules`` schedules of at most 5,000 steps each).  Two
+    confirmation routes per candidate, either suffices:
 
-    1. **finding** — the detector suite's static cross-check on the
-       lifted program reports a matching dynamic finding on some
-       schedule (the same matcher the DSL kernels are scored with);
-    2. **status** — exhaustive exploration reaches a terminal status the
-       candidate's shape predicts (deadlock cycles → ``DEADLOCK``,
-       dereferenced use-before-init variables → ``CRASH``, lost
-       messages/wakeups → ``HANG``).
+    1. **finding** — :func:`~repro.detectors.suite.compare_static`
+       matches the candidate to a dynamic finding the detector battery
+       reports on a failing schedule (the same matcher the DSL kernels
+       are scored with);
+    2. **status** — the search reaches a terminal status the candidate's
+       shape predicts (deadlock cycles → ``DEADLOCK``, dereferenced
+       use-before-init variables → ``CRASH``, lost messages/wakeups →
+       ``HANG``).
 
     Exploration is serial on purpose: lifted thread bodies are built by
     ``exec`` and cannot cross a process boundary.
     """
     from time import perf_counter
 
-    from repro.detectors.suite import DetectorSuite
-    from repro.sim.explorer import enumerate_outcomes
+    from repro.detectors.suite import DetectorSuite, compare_static
     from repro.static.report import analyse_summary
 
     start = perf_counter()
     report = analyse_summary(summary)
     program = lift(summary)
-    comparison = DetectorSuite.for_program(program).analyse_static(
-        program,
-        max_schedules=max_schedules,
-        reduction=reduction,
+    dynamic = DetectorSuite.for_program(program).analyse_program(
+        program, max_schedules=max_schedules, reduction="dpor",
     )
-    exploration = enumerate_outcomes(
-        program,
-        max_schedules=max_schedules,
-        max_steps=max_steps,
-        reduction=reduction,
-    )
+    confirmed = set(compare_static(report, dynamic).confirmed_candidates)
     statuses = {
-        status.value: count for status, count in exploration.statuses.items()
-    }
-    confirmed_keys = {
-        (c.kind, c.variables, c.resources)
-        for c in comparison.confirmed_candidates
+        status.value: count
+        for status, count in dynamic.exploration.statuses.items()
     }
     derefed = _summary_derefs(summary)
     outcomes: List[CandidateOutcome] = []
     for candidate in report.active():
-        how = ""
-        if (candidate.kind, candidate.variables, candidate.resources) in confirmed_keys:
+        if candidate in confirmed:
             how = "finding"
         else:
             how = _status_confirms(candidate, statuses, derefed)

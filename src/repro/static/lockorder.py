@@ -34,7 +34,7 @@ every other lock, exactly like the dynamic tracker's handling of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -45,6 +45,7 @@ __all__ = [
     "StaticLockEdge",
     "build_static_lock_order",
     "deadlock_candidates",
+    "lock_cycles",
 ]
 
 
@@ -113,6 +114,15 @@ def build_static_lock_order(
     return graph
 
 
+def lock_cycles(graph: "nx.DiGraph") -> Iterator[List[str]]:
+    """The graph's simple cycles, each started at its least lock name
+    (``simple_cycles`` starts at a node in set order, which varies with
+    the hash seed, so texts naming a cycle would too)."""
+    for cycle in nx.simple_cycles(graph):
+        first = cycle.index(min(cycle))
+        yield cycle[first:] + cycle[:first]
+
+
 def _add_edges(
     graph: "nx.DiGraph",
     ctx: SiteContext,
@@ -146,7 +156,7 @@ def deadlock_candidates(
     graph = build_static_lock_order(summary, contexts)
     out: List[StaticCandidate] = []
     seen: Set[frozenset] = set()
-    for cycle in nx.simple_cycles(graph):
+    for cycle in lock_cycles(graph):
         key = frozenset(cycle)
         if key in seen:
             continue

@@ -36,7 +36,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import networkx as nx
 
 from repro.sim.ops import Op, op_kind
-from repro.static.lockorder import StaticLockEdge, build_static_lock_order
+from repro.static.lockorder import (
+    StaticLockEdge,
+    build_static_lock_order,
+    lock_cycles,
+)
 from repro.static.lockset import SiteContext, StaticCandidate
 from repro.static.summary import OpSite, ProgramSummary, exclusive
 
@@ -127,7 +131,7 @@ def _deadlock_pairs(
     graph = build_static_lock_order(summary, contexts)
     out: List[TargetPair] = []
     seen: Set[frozenset] = set()
-    for cycle in nx.simple_cycles(graph):
+    for cycle in lock_cycles(graph):
         key = frozenset(cycle)
         if key in seen:
             continue

@@ -71,9 +71,10 @@ __all__ = [
     "load_corpus",
 ]
 
-#: Folded into service cache keys: bump on any change to extraction
-#: semantics so persisted verdicts for source jobs are invalidated.
-PYSOURCE_VERSION = "repro.static.pysource/v1"
+#: Folded into service cache keys: bump on any change to extraction or
+#: confirmation semantics so persisted verdicts for source jobs are
+#: invalidated (v2: statuses come from confirm's one 5,000-step search).
+PYSOURCE_VERSION = "repro.static.pysource/v2"
 
 #: Candidate kinds annotations may expect (mirrors the passes' output).
 _CANDIDATE_KINDS = frozenset(

@@ -372,6 +372,14 @@ class TestSchedulerContract:
         )
         assert result.status is RunStatus.OK
 
+    def test_filter_with_forced_prefix_is_refused(self):
+        prog = helpers.racy_counter()
+        with pytest.raises(ValueError, match="forced prefix"):
+            Engine(
+                prog, CooperativeScheduler(), prefix=["T1"],
+                enabled_filter=lambda e, en: en,
+            )
+
 
 class _StepRecorder(CooperativeScheduler):
     """Cooperative, remembering the steps it was asked to decide."""

@@ -11,8 +11,7 @@ compared against, event for event.
 
 The counters in ``tests/data/replay_fastpath.json`` (schedules,
 expanded states, cache hits, preemptions spent, pipeline counters,
-flagging detectors, enabled-filter calls) were captured before the replay loop
-existed; they pin that the searches explore the same trees and analyse
+flagging detectors) were captured before the replay loop existed; they pin that the searches explore the same trees and analyse
 the same events.  Re-capture with
 ``PYTHONPATH=src python -m tests.sim.test_replay_fastpath`` only when a
 search legitimately changes, and say why.
@@ -67,19 +66,6 @@ def _search(explorer) -> Dict[str, Any]:
     return {"result": result, "explorer": explorer}
 
 
-def _every_third_step_first_thread():
-    """A path-dependent enabled filter that counts its calls."""
-    calls = [0]
-
-    def restrict(engine, enabled):
-        calls[0] += 1
-        if engine.steps % 3 == 0:
-            return sorted(enabled)[:1]
-        return enabled
-
-    return restrict, calls
-
-
 def _online(reduction):
     def run(program):
         suite = DetectorSuite()
@@ -90,17 +76,6 @@ def _online(reduction):
         return {"result": online.exploration, "reports": online.reports}
 
     return run
-
-
-def _filtered(program):
-    restrict, calls = _every_third_step_first_thread()
-    explorer = Explorer(
-        program, max_schedules=MAX_SCHEDULES, max_steps=MAX_STEPS,
-        enabled_filter=restrict, keep_matches=KEEP,
-    )
-    measured = _search(explorer)
-    measured["filter_calls"] = calls[0]
-    return measured
 
 
 def _dfs(**options):
@@ -142,7 +117,6 @@ CONFIGS: Dict[str, Callable[[Program], Dict[str, Any]]] = {
     "dfs-memo": _dfs(memoize=True),
     "dfs-bound2": _dfs(preemption_bound=2),
     "dfs-directed": _directed,
-    "dfs-filter": _filtered,
     "sleepset": _sleepset,
     "dpor": _dpor(),
     "dpor-memo": _dpor(memoize=True),
@@ -193,8 +167,6 @@ def counters(measured: Dict[str, Any]) -> Dict[str, Any]:
             explorer.races_detected, explorer.backtrack_points,
             explorer.pruned_runs,
         ]
-    if "filter_calls" in measured:
-        row["filter_calls"] = measured["filter_calls"]
     return row
 
 
