@@ -27,7 +27,6 @@ from repro.kernels import all_kernels, families
 from repro.sim.explorer import make_explorer
 
 BUDGET = 50000
-MAX_STEPS = 5000
 
 #: The families this bench owns (the SC family has its own benches and
 #: the golden invariance guard).
@@ -36,8 +35,7 @@ NEW_FAMILIES = ("actor", "weakmem")
 
 def _explore(program, reduction=None, predicate=None):
     explorer = make_explorer(
-        program, max_schedules=BUDGET, max_steps=MAX_STEPS,
-        reduction=reduction, keep_matches=1,
+        program, max_schedules=BUDGET, reduction=reduction, keep_matches=1,
     )
     result = explorer.explore(
         predicate=predicate or (lambda run: False),

@@ -21,7 +21,6 @@ from time import perf_counter
 
 from repro.static.lift import confirm
 from repro.static.pysource import annotation_matches, load_corpus
-from repro.static.report import analyse_summary
 
 CORPUS = Path(__file__).resolve().parent.parent / "examples" / "realworld"
 
@@ -37,31 +36,25 @@ def collect():
         load_source(module.path)
         frontend_wall = perf_counter() - start
 
-        report = analyse_summary(module.summary)
-        active = report.active()
+        # One static pass and one search: the bugs are judged against
+        # confirm's per-candidate outcomes, as `repro static --source`
+        # judges them.
         outcome = confirm(module.summary, max_schedules=800)
-        confirmed_keys = {
-            (o.kind, o.variables, o.resources)
-            for o in outcome.outcomes
-            if o.confirmed
-        }
-        recalled = sum(
-            1 for bug in module.bugs
-            if any(annotation_matches(bug, c) for c in active)
-        )
+        matched = [
+            [o for o in outcome.outcomes if annotation_matches(bug, o)]
+            for bug in module.bugs
+        ]
+        recalled = sum(1 for found in matched if found)
         manifested = sum(
-            1 for bug in module.bugs
-            if bug.confirmable and any(
-                annotation_matches(bug, c) for c in active
-                if (c.kind, c.variables, c.resources) in confirmed_keys
-            )
+            1 for bug, found in zip(module.bugs, matched)
+            if bug.confirmable and any(o.confirmed for o in found)
         )
         rows.append({
             "module": module.name,
             "fixed": module.is_fixed,
             "frontend_wall_seconds": frontend_wall,
             "confirm_wall_seconds": outcome.wall_seconds,
-            "candidates": len(active),
+            "candidates": len(outcome.outcomes),
             "confirmed": len(outcome.confirmed),
             "annotated": len(module.bugs),
             "recalled": recalled,

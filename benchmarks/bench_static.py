@@ -28,7 +28,7 @@ from repro.static import analyse
 
 def _first_finding(kernel, targets):
     explorer = make_explorer(
-        kernel.buggy, 20000, 5000, None, keep_matches=1, targets=targets,
+        kernel.buggy, 20000, keep_matches=1, targets=targets,
     )
     start = perf_counter()
     result = explorer.explore(predicate=kernel.failure, stop_on_first=True)

@@ -533,19 +533,23 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _measure_directed(kernel, targets, reduction=None) -> dict:
-    """Schedules to first manifestation, undirected DFS vs race-directed."""
+def _measure_directed(kernel, comparison, reduction=None) -> dict:
+    """Schedules to first manifestation, undirected DFS vs race-directed.
+
+    The undirected count is read off the cross-check's own search (same
+    program, oracle, budget and reduction); only the directed search
+    runs here.
+    """
     from repro.sim.explorer import make_explorer
 
-    counts = {}
-    for mode, mode_targets in (("undirected", None), ("directed", targets)):
-        explorer = make_explorer(
-            kernel.buggy, 20000, 5000, None,
-            keep_matches=1, targets=mode_targets, reduction=reduction,
-        )
-        result = explorer.explore(predicate=kernel.failure, stop_on_first=True)
-        counts[mode] = result.schedules_run if result.found else None
-    return counts
+    directed = make_explorer(
+        kernel.buggy, 20000, keep_matches=1,
+        targets=comparison.static.pairs, reduction=reduction,
+    ).explore(predicate=kernel.failure, stop_on_first=True)
+    return {
+        "undirected": comparison.dynamic.exploration.schedules_to_first_finding,
+        "directed": directed.schedules_run if directed.found else None,
+    }
 
 
 def _check_source_module(module, budget: int) -> dict:
@@ -680,7 +684,7 @@ def _cmd_static(args) -> int:
         )
         all_sound = all_sound and comparison.sound
         directed = (
-            _measure_directed(kernel, comparison.static.pairs, args.reduction)
+            _measure_directed(kernel, comparison, args.reduction)
             if args.direct else None
         )
         if args.json:

@@ -28,7 +28,6 @@ the lifter's :func:`repro.static.lift.confirm`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -410,11 +409,10 @@ class DetectorSuite:
         search's :class:`~repro.sim.explorer.ExplorationResult` (statuses,
         outcomes, completeness) rides on the result's ``exploration``.
         """
-        explorer = make_explorer(
-            program, max_schedules, 5000, None,
+        exploration = make_explorer(
+            program, max_schedules,
             keep_matches=keep_matches, reduction=reduction,
-        )
-        exploration = explorer.explore(predicate=predicate)
+        ).explore(predicate=predicate)
         traces = [run.trace for run in exploration.matching]
         if not traces:
             baseline = run_program(program, CooperativeScheduler())
@@ -452,9 +450,8 @@ class DetectorSuite:
         program: Program,
         predicate: Optional[Callable[[RunResult], bool]] = None,
         max_schedules: int = 20000,
-        max_steps: int = 5000,
-        preemption_bound: Optional[int] = None,
         *,
+        preemption_bound: Optional[int] = None,
         reduction: Optional[str] = None,
     ) -> SuiteResult:
         """Analyse *while* exploring: one streamed pass over every schedule.
@@ -472,44 +469,23 @@ class DetectorSuite:
         With ``reduction`` the pipeline observes one representative per
         equivalence class of schedules instead of every interleaving:
         the outcome set and the findings reachable from it are
-        preserved, but per-interleaving tallies shrink.
+        preserved, but per-interleaving tallies shrink.  The search's
+        ``explorer.search`` run-log record carries the pipeline counters
+        and per-detector finding totals.
         """
-        start = perf_counter()
-        explorer = make_explorer(
+        exploration = make_explorer(
             program,
             max_schedules,
-            max_steps,
-            preemption_bound,
+            preemption_bound=preemption_bound,
             keep_matches=0,
             pipeline=self._pipeline(),
             reduction=reduction,
-        )
-        exploration = explorer.explore(
+        ).explore(
             predicate=predicate if predicate is not None else (lambda run: False)
         )
         reports = dict(exploration.detector_reports or {})
         for detector in self.detectors:
             reports.setdefault(detector.name, Report(detector=detector.name))
-        result = _record_suite(
+        return _record_suite(
             SuiteResult(reports=reports, exploration=exploration)
         )
-        if obs_runlog.active_runlog() is not None:
-            args = {
-                "max_schedules": max_schedules,
-                "max_steps": max_steps,
-                "preemption_bound": preemption_bound,
-                "memoize": False,
-                "online": True,
-                "reduction": reduction or "none",
-            }
-            stats = exploration.pipeline_stats or {}
-            obs_runlog.emit(
-                "suite.analyse_online",
-                **obs_runlog.exploration_record(
-                    exploration, args, perf_counter() - start
-                ),
-                pipeline=stats,
-                findings={name: len(report) for name, report in reports.items()},
-                first_finding_step=stats.get("first_finding_step"),
-            )
-        return result

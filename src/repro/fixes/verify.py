@@ -53,8 +53,9 @@ def verify_fix(
     max_schedules: int = 50000,
 ) -> FixVerification:
     """Explore every schedule of ``patched`` against the kernel's oracle."""
-    explorer = make_explorer(patched, max_schedules, 5000, None, keep_matches=1)
-    result = explorer.explore(predicate=kernel.failure, stop_on_first=True)
+    result = make_explorer(patched, max_schedules, keep_matches=1).explore(
+        predicate=kernel.failure, stop_on_first=True
+    )
     if result.found:
         return FixVerification(
             program=patched.name,

@@ -24,12 +24,11 @@ label names exactly one operation site of one thread.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Callable, Optional, Tuple
 
 from repro.bugdb.schema import BugCategory, FixStrategy
 from repro.sim.engine import RunResult
-from repro.sim.explorer import _emit_exploration_runlog, make_explorer
+from repro.sim.explorer import make_explorer
 from repro.sim.program import Program
 
 __all__ = ["BugKernel", "Oracle"]
@@ -87,17 +86,10 @@ class BugKernel:
         ``directed`` and ``memoize``.
         """
         targets = self.static_targets() if directed else None
-        explorer = make_explorer(
-            self.buggy, max_schedules, 5000, None,
+        result = make_explorer(
+            self.buggy, max_schedules,
             memoize=memoize, targets=targets, reduction=reduction,
-        )
-        start = perf_counter()
-        result = explorer.explore(predicate=self.failure, stop_on_first=True)
-        _emit_exploration_runlog(
-            "kernel.find_manifestation", result, max_schedules, 5000, None,
-            memoize=memoize, wall_seconds=perf_counter() - start,
-            directed=directed, reduction=reduction,
-        )
+        ).explore(predicate=self.failure, stop_on_first=True)
         return result.matching[0] if result.matching else None
 
     def static_targets(self):
@@ -117,12 +109,8 @@ class BugKernel:
         over *all* interleavings, and anything that prunes or collapses
         schedules skews it.
         """
-        explorer = make_explorer(self.buggy, max_schedules, 5000, None)
-        start = perf_counter()
-        outcome = explorer.explore(predicate=self.failure)
-        _emit_exploration_runlog(
-            "kernel.manifestation_rate", outcome, max_schedules, 5000, None,
-            memoize=False, wall_seconds=perf_counter() - start,
+        outcome = make_explorer(self.buggy, max_schedules).explore(
+            predicate=self.failure
         )
         return outcome.match_rate()
 
@@ -139,17 +127,10 @@ class BugKernel:
         one reachable, would keep a representative schedule — while
         checking far fewer interleavings.
         """
-        explorer = make_explorer(
-            self.fixed, max_schedules, 5000, None,
+        outcome = make_explorer(
+            self.fixed, max_schedules,
             memoize=memoize, keep_matches=1, reduction=reduction,
-        )
-        start = perf_counter()
-        outcome = explorer.explore(predicate=self.failure, stop_on_first=True)
-        _emit_exploration_runlog(
-            "kernel.verify_fixed", outcome, max_schedules, 5000, None,
-            memoize=memoize, wall_seconds=perf_counter() - start,
-            reduction=reduction,
-        )
+        ).explore(predicate=self.failure, stop_on_first=True)
         return outcome.complete and not outcome.found
 
     def summary(self) -> str:

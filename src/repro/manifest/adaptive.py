@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.obs import metrics as obs_metrics
 from repro.obs import runlog as obs_runlog
 from repro.sim.engine import RunResult, run_program
-from repro.sim.explorer import Explorer, _outcome_key
+from repro.sim.explorer import MAX_STEPS, Explorer, _outcome_key
 from repro.sim.program import Program
 from repro.sim.reduction import SleepSetExplorer
 from repro.sim.scheduler import (
@@ -66,9 +66,6 @@ EXPLORATION = 0.5
 #: Reward credited for a first finding, on top of new-outcome credit.
 #: Large enough that a finding dominates any plausible outcome count.
 FINDING_BONUS = 25.0
-
-#: Step cap of every run the race makes, the horizon probes included.
-MAX_STEPS = 5000
 
 #: Bug depth of the PCT arm, shared with the estimator's ``pct`` row.
 PCT_DEPTH = 3
@@ -190,8 +187,7 @@ class _SearchArm(_Arm):
         super().__init__(strategy)
         explorer_class = Explorer if strategy == "dfs" else SleepSetExplorer
         explorer = explorer_class(
-            program, max_schedules=max_total, max_steps=MAX_STEPS,
-            keep_matches=1, memoize=True,
+            program, max_schedules=max_total, keep_matches=1, memoize=True,
         )
         self._search = explorer.attempts(failure, stop_on_first=True)
 

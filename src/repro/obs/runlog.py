@@ -2,37 +2,46 @@
 
 Every number in EXPERIMENTS.md and every table cell a bench prints comes
 out of some exploration or estimator sweep.  The run log makes those
-runs *auditable*: when a sink is installed, each call to
-:func:`repro.sim.explorer.find_schedule` /
-:func:`~repro.sim.explorer.enumerate_outcomes`, each estimator sweep,
-each bug-report build, and the CLI itself appends one JSON object — the
-arguments, the result counters, an outcome-set digest, wall-clock, and
-(for the CLI summary record) the full metrics snapshot.  A figure can
-then be traced back to the exact searches that produced it, and an
-"instrumented re-run" can be diffed against the record field by field.
+runs *auditable*: when a sink is installed, every search that runs to
+its end appends one ``explorer.search`` record (written by the search's
+own close-out, whoever started it: the ``find_schedule`` /
+``enumerate_outcomes`` entry points, the kernel helpers, the detector
+suite, the lifter, the service's workers), and so do each estimator
+sweep, each static analysis and cross-check, each bug-report build,
+each finished service job and the CLI itself — the arguments, the
+result counters, an outcome-set digest, wall-clock, and (for the CLI
+summary record) the full metrics snapshot.  A figure can then be traced
+back to the exact searches that produced it, and an "instrumented
+re-run" can be diffed against the record field by field.
 
 The sink is either a file path (records are appended, one per line —
-JSONL) or a callable receiving each record dict (for tests and embedded
-consumers).  Like :mod:`repro.obs.metrics`, the module-level
-:func:`emit` is a no-op until :func:`set_runlog` installs a sink, so
-un-instrumented workloads pay one ``None`` check per entry-point call.
+JSONL, each record one append-mode write) or a callable receiving each
+record dict (for tests and embedded consumers).  Like
+:mod:`repro.obs.metrics`, the module-level :func:`emit` is a no-op
+until :func:`set_runlog` installs a sink, so un-instrumented workloads
+pay one ``None`` check per search.
 
-Record schema (``docs/observability.md`` has the worked example)::
+Record schema (``docs/observability.md`` has the worked example and
+the full event table)::
 
     {
-      "schema": "repro.runlog/v3",
-      "event": "<entry point: enumerate_outcomes | find_schedule |
-                 estimate_manifestation | bug_report | cli | bench>",
+      "schema": "repro.runlog/v4",
+      "event": "<explorer.search | estimate_manifestation | static.analyse |
+                 suite.analyse_static | bug_report | service.job |
+                 alloc.pull | alloc.race | cli | bench_session>",
       "ts": <unix seconds, float>,
       ... event-specific fields, all JSON-native ...
     }
 
-Exploration events carry ``program``, ``args`` (the bounds:
-``max_schedules``/``max_steps``/``preemption_bound``/``memoize``),
+An ``explorer.search`` record carries ``explorer`` (``dfs``,
+``sleepset`` or ``dpor``), ``program``, ``args`` (the search's settings:
+``max_schedules``/``preemption_bound``/``memoize``/``directed``),
 ``result`` (``schedules_run``, ``cache_hits``, ``states_expanded``,
 ``preemptions_spent``, ``complete``, ``match_count``, ``statuses``,
 ``distinct_outcomes``, ``schedules_to_first_finding``),
-``outcome_digest`` and ``wall_seconds``.
+``outcome_digest`` and ``wall_seconds``; a search with a detector
+pipeline attached adds ``pipeline``, ``findings`` and
+``first_finding_step``.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ __all__ = [
     "set_runlog",
 ]
 
-SCHEMA = "repro.runlog/v3"
+SCHEMA = "repro.runlog/v4"
 
 Sink = Union[str, Path, Callable[[Dict[str, Any]], None]]
 
@@ -142,7 +151,7 @@ def outcome_digest(outcomes: Iterable[Any]) -> str:
 
 
 def exploration_record(result: Any, args: Dict[str, Any], wall_seconds: float) -> Dict[str, Any]:
-    """The shared body of a ``find_schedule``/``enumerate_outcomes`` record.
+    """The body of an ``explorer.search`` record.
 
     ``result`` is an :class:`~repro.sim.explorer.ExplorationResult`;
     typed as ``Any`` to keep :mod:`repro.obs` import-free of the

@@ -288,11 +288,6 @@ class Job:
 # -- worker-side execution ---------------------------------------------------
 
 
-def _never(run: Any) -> bool:
-    """The ``explore`` predicate: enumerate everything, match nothing."""
-    return False
-
-
 def _run_exploration(
     kind: JobKind, kernel: Any, options: JobOptions
 ) -> Tuple[Dict[str, Any], int]:
@@ -302,16 +297,17 @@ def _run_exploration(
     ``repro detect`` (find a manifesting trace, run the battery on it),
     and ``explore`` enumerates the buggy program's terminal outcome set.
     """
-    from repro.sim.explorer import make_explorer
+    from repro.sim.explorer import enumerate_outcomes, make_explorer
 
     program = _target_program(kind, kernel, options)
     if kind is JobKind.EXPLORE:
         from repro.obs.runlog import outcome_digest
 
-        result = make_explorer(
-            program, options.budget(kind), 5000, options.preemption_bound,
+        result = enumerate_outcomes(
+            program, options.budget(kind),
+            preemption_bound=options.preemption_bound,
             memoize=options.memoize, reduction=options.reduction,
-        ).explore(predicate=_never)
+        )
         verdict: Dict[str, Any] = {
             "kind": kind.value,
             "complete": result.complete,
@@ -326,7 +322,8 @@ def _run_exploration(
         }
         return verdict, result.schedules_run
     result = make_explorer(
-        program, options.budget(kind), 5000, options.preemption_bound,
+        program, options.budget(kind),
+        preemption_bound=options.preemption_bound,
         memoize=options.memoize, keep_matches=1, reduction=options.reduction,
     ).explore(predicate=kernel.failure, stop_on_first=True)
     if kind is JobKind.CHECK:

@@ -95,7 +95,6 @@ from repro.sim.explorer import (
     _Search,
     _SearchScheduler,
 )
-from repro.sim.program import Program
 from repro.sim.reduction import Token, op_footprint, ops_dependent
 from repro.sim.statecache import MemoHit
 # Importable here as the very object the explorer fingerprints with:
@@ -390,25 +389,9 @@ class DPORExplorer(_Search):
     """
 
     kind = "dpor"
-
-    def __init__(
-        self,
-        program: Program,
-        max_schedules: int = 20000,
-        max_steps: int = 5000,
-        keep_matches: int = 16,
-        memoize: bool = False,
-        preemption_bound: Optional[int] = None,
-        pipeline: Optional[Any] = None,
-        targets: Optional[Sequence[Any]] = None,
-    ):
-        super().__init__(
-            program, max_schedules, max_steps, keep_matches, memoize,
-            pipeline, targets, preemption_bound=preemption_bound,
-        )
-        #: Race telemetry of the most recent exploration.
-        self.races_detected = 0
-        self.backtrack_points = 0
+    #: Race telemetry of the most recent exploration.
+    races_detected = 0
+    backtrack_points = 0
 
     # -- the node policy ------------------------------------------------------
 

@@ -63,6 +63,7 @@ from repro.sim.trace import Trace
 __all__ = [
     "Explorer",
     "ExplorationResult",
+    "MAX_STEPS",
     "REDUCTIONS",
     "check_reduction",
     "find_schedule",
@@ -71,6 +72,10 @@ __all__ = [
 ]
 
 Predicate = Callable[[RunResult], bool]
+
+#: The step bound of every schedule attempt: a run still going after
+#: this many engine steps ends ``aborted``.  Read when each run is built.
+MAX_STEPS = 5000
 
 
 class _DirectedPolicy:
@@ -364,18 +369,20 @@ class _Search:
     (:meth:`_run`) and drives every search through one generator,
     :meth:`attempts`: it tallies each attempt, charges the budget, closes
     the search out (:meth:`_close` fills the result, :meth:`_publish`
-    publishes its metrics) and pauses between attempts.  An explorer
-    supplies only its node policy, as three hooks: :meth:`_first_seed`
-    sets a search up, :meth:`_attempt` runs one seed and records what the
-    run taught the policy, and :meth:`_next_seed` picks the next seed or
-    ends the search.  The hooks here are the stack-driven policy of plain
-    DFS and sleep sets, which each supply a per-run scheduler
-    (``_scheduler``), a sibling-push rule (``_push_siblings``) and the
-    root stack mark; :class:`~repro.sim.dpor.DPORExplorer` overrides them
-    with its path-and-backtrack policy.
+    publishes its metrics and run-log record) and pauses between
+    attempts.  An explorer supplies only its node policy, as three
+    hooks: :meth:`_first_seed` sets a search up, :meth:`_attempt` runs
+    one seed and records what the run taught the policy, and
+    :meth:`_next_seed` picks the next seed or ends the search.  The
+    hooks here are the stack-driven policy of plain DFS and sleep sets,
+    which each supply a per-run scheduler (``_scheduler``), a
+    sibling-push rule (``_push_siblings``) and the root stack mark;
+    :class:`~repro.sim.dpor.DPORExplorer` overrides them with its
+    path-and-backtrack policy.
     """
 
-    #: Which search this is: the ``explorer`` label of its metrics.
+    #: Which search this is: the ``explorer`` label of its metrics and
+    #: the ``explorer`` field of its run-log record.
     kind = ""
     #: The mark of the root stack entry (see :data:`Seed`).
     _root_mark: Any = None
@@ -383,18 +390,16 @@ class _Search:
     def __init__(
         self,
         program: Program,
-        max_schedules: int,
-        max_steps: int,
-        keep_matches: int,
-        memoize: bool,
-        pipeline: Optional[Any],
-        targets: Optional[Sequence[Any]],
+        max_schedules: int = 20000,
         *,
         preemption_bound: Optional[int] = None,
+        keep_matches: int = 16,
+        memoize: bool = False,
+        pipeline: Optional[Any] = None,
+        targets: Optional[Sequence[Any]] = None,
     ):
         self.program = program
         self.max_schedules = max_schedules
-        self.max_steps = max_steps
         self.preemption_bound = preemption_bound
         self.keep_matches = keep_matches
         self.memoize = memoize
@@ -454,10 +459,11 @@ class _Search:
         attempt ends the search — it drains the work, spends the last of
         ``max_schedules``, or matches under ``stop_on_first`` — raises
         ``StopIteration`` carrying the final result instead, and the
-        search's metrics are published then, once.  ``wall_seconds``
-        counts only time spent inside the search, and a search abandoned
-        before its end publishes nothing.  Arguments as in
-        :meth:`explore`; one search per explorer at a time.
+        search's metrics and its ``explorer.search`` run-log record are
+        published then, once.  ``wall_seconds`` counts only time spent
+        inside the search, and a search abandoned before its end
+        publishes nothing.  Arguments as in :meth:`explore`; one search
+        per explorer at a time.
         """
         elapsed = 0.0
         start = perf_counter()
@@ -548,7 +554,7 @@ class _Search:
         engine = Engine(
             self.program,
             scheduler,
-            max_steps=self.max_steps,
+            max_steps=MAX_STEPS,
             event_hook=hook,
             prefix=prefix,
             prefix_events=parent,
@@ -578,9 +584,10 @@ class _Search:
         result.wall_seconds = wall_seconds
 
     def _publish(self, result: ExplorationResult) -> None:
-        """Publish a terminal result's metrics, once per search.
+        """Publish a terminal result's metrics and its run-log record,
+        once per search.
 
-        No-op while metrics are disabled.
+        No-op while metrics and the run log are disabled.
         """
         program = self.program.name
         if self.cache is not None:
@@ -589,6 +596,24 @@ class _Search:
             self.pipeline.record_metrics(program=program)
         self._publish_search_counters()
         _record_exploration(result, self.kind)
+        if obs_runlog.active_runlog() is None:
+            return
+        args = {
+            "max_schedules": self.max_schedules,
+            "preemption_bound": self.preemption_bound,
+            "memoize": self.memoize,
+            "directed": self.directed is not None,
+        }
+        fields = obs_runlog.exploration_record(result, args, result.wall_seconds)
+        stats = result.pipeline_stats
+        if stats is not None:
+            fields["pipeline"] = stats
+            fields["findings"] = {
+                name: len(report)
+                for name, report in (result.detector_reports or {}).items()
+            }
+            fields["first_finding_step"] = stats.get("first_finding_step")
+        obs_runlog.emit("explorer.search", explorer=self.kind, **fields)
 
     def _publish_search_counters(self) -> None:
         """Publish the counters only this kind of search keeps."""
@@ -599,22 +624,6 @@ class Explorer(_Search):
 
     kind = "dfs"
     _root_mark = 0
-
-    def __init__(
-        self,
-        program: Program,
-        max_schedules: int = 20000,
-        max_steps: int = 5000,
-        preemption_bound: Optional[int] = None,
-        keep_matches: int = 16,
-        memoize: bool = False,
-        pipeline: Optional[Any] = None,
-        targets: Optional[Sequence[Any]] = None,
-    ):
-        super().__init__(
-            program, max_schedules, max_steps, keep_matches, memoize,
-            pipeline, targets, preemption_bound=preemption_bound,
-        )
 
     def _scheduler(self, paid: int) -> _RecordingScheduler:
         return _RecordingScheduler(self)
@@ -693,34 +702,6 @@ def _record_exploration(result: ExplorationResult, explorer: str) -> None:
     registry.observe("explorer.wall_seconds", result.wall_seconds, **labels)
 
 
-def _emit_exploration_runlog(
-    event: str,
-    result: ExplorationResult,
-    max_schedules: int,
-    max_steps: int,
-    preemption_bound: Optional[int],
-    *,
-    memoize: bool,
-    wall_seconds: float,
-    directed: bool = False,
-    reduction: Optional[str] = None,
-) -> None:
-    """Append one run record for an exploration entry point (if active)."""
-    if obs_runlog.active_runlog() is None:
-        return
-    args = {
-        "max_schedules": max_schedules,
-        "max_steps": max_steps,
-        "preemption_bound": preemption_bound,
-        "memoize": memoize,
-        "directed": directed,
-        "reduction": reduction or "none",
-    }
-    obs_runlog.emit(
-        event, **obs_runlog.exploration_record(result, args, wall_seconds)
-    )
-
-
 def _preemption_cost(previous: Optional[str], choice: str, enabled: List[str]) -> int:
     """Switching away from a still-enabled thread costs one preemption."""
     if previous is None or previous == choice:
@@ -730,6 +711,11 @@ def _preemption_cost(previous: Optional[str], choice: str, enabled: List[str]) -
 
 def _default_predicate(run: RunResult) -> bool:
     return run.failed
+
+
+def _never(run: RunResult) -> bool:
+    """The predicate of an enumeration: nothing matches."""
+    return False
 
 
 def _outcome_key(run: RunResult) -> Tuple:
@@ -775,9 +761,8 @@ def check_reduction(
 def make_explorer(
     program: Program,
     max_schedules: int = 20000,
-    max_steps: int = 5000,
-    preemption_bound: Optional[int] = None,
     *,
+    preemption_bound: Optional[int] = None,
     memoize: bool = False,
     keep_matches: int = 16,
     pipeline: Optional[Any] = None,
@@ -808,8 +793,6 @@ def make_explorer(
     """
     kind = check_reduction(reduction, preemption_bound)
     options: Dict[str, Any] = {
-        "max_schedules": max_schedules,
-        "max_steps": max_steps,
         "keep_matches": keep_matches,
         "memoize": memoize,
         "pipeline": pipeline,
@@ -823,16 +806,15 @@ def make_explorer(
             from repro.sim.dpor import DPORExplorer as explorer_class
         else:
             explorer_class = Explorer
-    return explorer_class(program, **options)
+    return explorer_class(program, max_schedules, **options)
 
 
 def find_schedule(
     program: Program,
     predicate: Optional[Predicate] = None,
     max_schedules: int = 20000,
-    max_steps: int = 5000,
-    preemption_bound: Optional[int] = None,
     *,
+    preemption_bound: Optional[int] = None,
     memoize: bool = False,
     targets: Optional[Sequence[Any]] = None,
     reduction: Optional[str] = None,
@@ -847,27 +829,19 @@ def find_schedule(
     predicates over terminal state — reduced searches skip schedules
     equivalent up to swapping independent operations).
     """
-    explorer = make_explorer(
-        program, max_schedules, max_steps, preemption_bound,
+    result = make_explorer(
+        program, max_schedules, preemption_bound=preemption_bound,
         memoize=memoize, keep_matches=1, targets=targets, reduction=reduction,
-    )
-    start = perf_counter()
-    result = explorer.explore(predicate=predicate, stop_on_first=True)
-    _emit_exploration_runlog(
-        "find_schedule", result, max_schedules, max_steps, preemption_bound,
-        memoize=memoize, wall_seconds=perf_counter() - start,
-        directed=bool(targets), reduction=reduction,
-    )
+    ).explore(predicate=predicate, stop_on_first=True)
     return result.matching[0] if result.matching else None
 
 
 def enumerate_outcomes(
     program: Program,
     max_schedules: int = 20000,
-    max_steps: int = 5000,
+    *,
     preemption_bound: Optional[int] = None,
     require_complete: bool = False,
-    *,
     memoize: bool = False,
     reduction: Optional[str] = None,
 ) -> ExplorationResult:
@@ -880,17 +854,10 @@ def enumerate_outcomes(
     that only permute independent operations (per-outcome counts shrink
     accordingly).
     """
-    explorer = make_explorer(
-        program, max_schedules, max_steps, preemption_bound,
+    result = make_explorer(
+        program, max_schedules, preemption_bound=preemption_bound,
         memoize=memoize, reduction=reduction,
-    )
-    start = perf_counter()
-    result = explorer.explore(predicate=lambda run: False)
-    _emit_exploration_runlog(
-        "enumerate_outcomes", result, max_schedules, max_steps,
-        preemption_bound, memoize=memoize,
-        wall_seconds=perf_counter() - start, reduction=reduction,
-    )
+    ).explore(predicate=_never)
     if require_complete and not result.complete:
         raise ExplorationError(
             f"exploration of {program.name!r} exceeded the budget of "

@@ -225,15 +225,15 @@ class SleepSetExplorer(_Search):
         self,
         program: Program,
         max_schedules: int = 20000,
-        max_steps: int = 5000,
+        *,
         keep_matches: int = 16,
         memoize: bool = False,
         pipeline: Optional[Any] = None,
         targets: Optional[Sequence[Any]] = None,
     ):
         super().__init__(
-            program, max_schedules, max_steps, keep_matches, memoize,
-            pipeline, targets,
+            program, max_schedules, keep_matches=keep_matches,
+            memoize=memoize, pipeline=pipeline, targets=targets,
         )
 
     def _scheduler(self, sleep: FrozenSet[str]) -> _SleepScheduler:

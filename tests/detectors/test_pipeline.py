@@ -231,7 +231,8 @@ class TestSingleDispatch:
 
 
 class TestRunlogRecord:
-    """`analyse_online` emits one structured ``suite.analyse_online`` record."""
+    """`analyse_online`'s search writes one ``explorer.search`` record,
+    with the pipeline's fields."""
 
     def test_record_shape(self):
         program = helpers.abba_deadlock()
@@ -243,16 +244,17 @@ class TestRunlogRecord:
             )
         finally:
             obs_runlog.clear_runlog()
-        assert [r["event"] for r in records] == ["suite.analyse_online"]
+        assert [r["event"] for r in records] == ["explorer.search"]
         record = records[0]
         assert record["schema"] == obs_runlog.SCHEMA
         assert record["program"] == program.name
-        assert record["args"]["online"] is True
+        assert record["explorer"] == "dfs"
         assert record["args"]["memoize"] is False
         assert record["pipeline"]["events_dispatched"] > 0
         assert record["findings"] == {
             name: len(report) for name, report in result.reports.items()
         }
+        assert record["first_finding_step"] == record["pipeline"]["first_finding_step"]
         assert record["result"]["schedules_run"] == result.exploration.schedules_run
 
 

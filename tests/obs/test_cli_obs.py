@@ -25,7 +25,7 @@ class TestMetricsOut:
         assert records
         assert all(r["schema"] == SCHEMA for r in records)
         events = [r["event"] for r in records]
-        assert "kernel.verify_fixed" in events
+        assert "explorer.search" in events
         assert events[-1] == "cli"
 
     def test_record_matches_instrumented_serial_rerun(self, tmp_path, capsys):
@@ -37,12 +37,15 @@ class TestMetricsOut:
             ]
         ) == 0
         capsys.readouterr()
+        kernel = get_kernel("atomicity_lost_update")
+        # The fix-check search is the one search of the fixed program.
         record = next(
-            r for r in read_records(path) if r["event"] == "kernel.verify_fixed"
+            r for r in read_records(path)
+            if r["event"] == "explorer.search"
+            and r["program"] == kernel.fixed.name
         )
 
         # Instrumented serial re-run of the same search.
-        kernel = get_kernel("atomicity_lost_update")
         registry = obs_metrics.enable()
         try:
             assert kernel.verify_fixed()

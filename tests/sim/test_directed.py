@@ -29,7 +29,7 @@ STRICTLY_FASTER = [
 
 def first_finding_schedules(kernel, targets):
     explorer = make_explorer(
-        kernel.buggy, 20000, 5000, None, keep_matches=1, targets=targets,
+        kernel.buggy, 20000, keep_matches=1, targets=targets,
     )
     result = explorer.explore(predicate=kernel.failure, stop_on_first=True)
     assert result.found, kernel.name

@@ -315,9 +315,9 @@ class TestComposedAccelerators:
         assert bounded.schedules_run < dfs.schedules_run
 
     def test_make_explorer_options_after_the_bound_are_keyword_only(self):
-        # Everything after ``preemption_bound`` is keyword-only, so a
-        # six-argument positional call fails loudly instead of binding
-        # its fifth argument to ``memoize``.
+        # Everything after ``max_schedules`` is keyword-only, so a stale
+        # positional call fails loudly instead of binding its step
+        # bound to ``preemption_bound``.
         with pytest.raises(TypeError):
             make_explorer(helpers.racy_counter(), 100, 5000, None, None, False)
 

@@ -167,9 +167,7 @@ def _fence_after_every_store(program):
 
 
 def _outcomes(program, reduction="dpor"):
-    explorer = make_explorer(
-        program, max_schedules=50000, max_steps=5000, reduction=reduction
-    )
+    explorer = make_explorer(program, max_schedules=50000, reduction=reduction)
     result = explorer.explore(predicate=lambda run: False)
     assert result.complete, program.name
     return set(result.outcomes)
@@ -225,7 +223,7 @@ class TestModelGatedManifestation:
         assert found is not None
 
         sc = make_explorer(
-            kernel.buggy.with_memory("sc"), max_schedules=50000, max_steps=5000,
+            kernel.buggy.with_memory("sc"), max_schedules=50000,
             reduction="dpor",
         ).explore(predicate=kernel.failure)
         assert sc.complete  # the whole SC space was searched ...

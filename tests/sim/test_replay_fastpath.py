@@ -35,9 +35,10 @@ from repro.detectors import DetectorSuite
 from repro.errors import ExplorationError
 from repro.kernels import all_kernels
 from repro.sim import Join, Program, Read, Write, Yield
+from repro.sim import explorer as explorer_module
 from repro.sim.dpor import DPORExplorer
 from repro.sim.engine import RunStatus
-from repro.sim.explorer import Explorer
+from repro.sim.explorer import MAX_STEPS, Explorer
 from repro.sim.generate import generate_program
 from repro.sim.reduction import SleepSetExplorer
 from repro.sim.replay import replay
@@ -46,7 +47,6 @@ from repro.static import analyse
 PINNED = Path(__file__).resolve().parent.parent / "data" / "replay_fastpath.json"
 
 MAX_SCHEDULES = 20000
-MAX_STEPS = 5000
 #: Kept runs per search; every one is re-checked against replay().
 KEEP = 48
 #: The generated band: the repro.sim.generate seeds below 60 whose
@@ -70,8 +70,7 @@ def _online(reduction):
     def run(program):
         suite = DetectorSuite()
         online = suite.analyse_online(
-            program, max_schedules=MAX_SCHEDULES, max_steps=MAX_STEPS,
-            reduction=reduction,
+            program, max_schedules=MAX_SCHEDULES, reduction=reduction,
         )
         return {"result": online.exploration, "reports": online.reports}
 
@@ -81,8 +80,7 @@ def _online(reduction):
 def _dfs(**options):
     def run(program):
         return _search(Explorer(
-            program, max_schedules=MAX_SCHEDULES, max_steps=MAX_STEPS,
-            keep_matches=KEEP, **options,
+            program, max_schedules=MAX_SCHEDULES, keep_matches=KEEP, **options,
         ))
 
     return run
@@ -90,23 +88,21 @@ def _dfs(**options):
 
 def _directed(program):
     return _search(Explorer(
-        program, max_schedules=MAX_SCHEDULES, max_steps=MAX_STEPS,
-        keep_matches=KEEP, targets=analyse(program).pairs,
+        program, max_schedules=MAX_SCHEDULES, keep_matches=KEEP,
+        targets=analyse(program).pairs,
     ))
 
 
 def _sleepset(program):
     return _search(SleepSetExplorer(
-        program, max_schedules=MAX_SCHEDULES, max_steps=MAX_STEPS,
-        keep_matches=KEEP,
+        program, max_schedules=MAX_SCHEDULES, keep_matches=KEEP,
     ))
 
 
 def _dpor(**options):
     def run(program):
         return _search(DPORExplorer(
-            program, max_schedules=MAX_SCHEDULES, max_steps=MAX_STEPS,
-            keep_matches=KEEP, **options,
+            program, max_schedules=MAX_SCHEDULES, keep_matches=KEEP, **options,
         ))
 
     return run
@@ -220,10 +216,11 @@ TRUNCATED = {
 
 
 @pytest.mark.parametrize("config", sorted(TRUNCATED))
-def test_budget_truncated_runs_match_the_per_step_loop(config):
+def test_budget_truncated_runs_match_the_per_step_loop(config, monkeypatch):
     explorer_class, schedules, aborted, preemptions = TRUNCATED[config]
     program = _spin_program()
-    result = explorer_class(program, max_steps=9, keep_matches=100).explore(
+    monkeypatch.setattr(explorer_module, "MAX_STEPS", 9)
+    result = explorer_class(program, keep_matches=100).explore(
         predicate=_match_all
     )
     assert result.schedules_run == schedules

@@ -77,7 +77,10 @@ def test_one_confirm_is_one_static_pass_and_one_search():
     compared = [r for r in records if r["event"] == "suite.analyse_static"]
     assert len(compared) == 1
     assert compared[0]["program"] == module.name
-    assert not [r for r in records if r["event"] == "enumerate_outcomes"]
+    searches = [r for r in records if r["event"] == "explorer.search"]
+    assert len(searches) == 1
+    assert searches[0]["program"] == f"lifted:{module.name}"
+    assert searches[0]["explorer"] == "dpor"
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 """The docs/code gate: no stale flags in the command table, and every
-emitted metric in the catalogue."""
+emitted metric and run-log event in the catalogue."""
 
 import importlib.util
 from pathlib import Path
@@ -84,5 +84,43 @@ def test_uncatalogued_metric_is_a_problem(check_docs, tmp_path, monkeypatch):
     check_docs.check_metrics(problems)
     assert problems == [
         "observability.md: metric static.wall_seconds "
+        "(src/repro/emitter.py) is not catalogued"
+    ]
+
+
+EMITTER = '''\
+obs_runlog.emit(
+    "explorer.search", explorer=self.kind, **fields,
+)
+runlog.emit("cli", command=args.command)
+emit("bench_session", metrics=snapshot)
+log.emit(event, **fields)
+nodes.append(self.emit("read", var, conditional, lineno))
+self._emit(ev.ReadEvent, thread=name)
+'''
+
+
+def test_literal_event_names_are_collected(check_docs):
+    assert check_docs.emitted_events(EMITTER) == [
+        "explorer.search", "cli", "bench_session",
+    ]
+
+
+def test_uncatalogued_event_is_a_problem(check_docs, tmp_path, monkeypatch):
+    src = tmp_path / "src" / "repro"
+    src.mkdir(parents=True)
+    (src / "emitter.py").write_text(EMITTER)
+    catalogue = tmp_path / "observability.md"
+    catalogue.write_text(
+        "| `explorer.search` | `cli` |\n"
+        "a bench_session record is named here, but not as a catalogue entry\n"
+    )
+    monkeypatch.setattr(check_docs, "REPO", tmp_path)
+    monkeypatch.setattr(check_docs, "SRC", src)
+    monkeypatch.setattr(check_docs, "OBSERVABILITY_DOC", catalogue)
+    problems = []
+    check_docs.check_events(problems)
+    assert problems == [
+        "observability.md: run-log event bench_session "
         "(src/repro/emitter.py) is not catalogued"
     ]

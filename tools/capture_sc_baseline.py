@@ -55,7 +55,6 @@ def capture_one(program, config) -> dict:
     explorer = make_explorer(
         program,
         max_schedules=20000,
-        max_steps=5000,
         preemption_bound=config.get("preemption_bound"),
         memoize=config.get("memoize", False),
         reduction=config.get("reduction"),

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs/code consistency gate (run in CI).
 
-Five checks, all against the working tree:
+Six checks, all against the working tree:
 
 1. **Module coverage** — every ``.py`` module under ``src/repro/`` must
    be mentioned by filename in ``docs/architecture.md`` (the one-page
@@ -26,6 +26,9 @@ Five checks, all against the working tree:
 5. **Metric catalogue** — every metric name passed as a string literal
    to ``inc``, ``observe`` or ``set_gauge`` under ``src/repro/`` must
    appear, in backticks, in ``docs/observability.md``.
+6. **Run-log event catalogue** — every event name passed as a string
+   literal to a run log's ``emit`` under ``src/repro/`` must appear, in
+   backticks, in ``docs/observability.md``.
 
 Exit status 0 when clean; 1 with one line per problem otherwise.
 """
@@ -65,6 +68,10 @@ COMMAND_TABLE_HEADER = "| command | flags | does |"
 #: A metric named by a string literal in an ``inc``/``observe``/
 #: ``set_gauge`` call; computed names (f-strings) are not matched.
 METRIC_CALL_RE = re.compile(r"\b(?:inc|observe|set_gauge)\(\s*\"([a-z][a-z0-9_.]*)\"")
+#: A run-log event named by a string literal in an ``emit`` call: the
+#: module function (``emit``, ``obs_runlog.emit``) or a run log's method
+#: (``runlog.emit``), not some other object's ``emit`` method.
+EVENT_CALL_RE = re.compile(r"(?:runlog\.|(?<![\w.]))emit\(\s*\"([a-z][a-z0-9_.]*)\"")
 
 
 def check_modules(problems: list) -> None:
@@ -200,6 +207,23 @@ def check_metrics(problems: list) -> None:
                 )
 
 
+def emitted_events(source: str) -> list:
+    """The literal run-log event names ``source`` passes to ``emit``."""
+    return EVENT_CALL_RE.findall(source)
+
+
+def check_events(problems: list) -> None:
+    catalogue = OBSERVABILITY_DOC.read_text(encoding="utf-8")
+    for path in sorted(SRC.rglob("*.py")):
+        for name in emitted_events(path.read_text(encoding="utf-8")):
+            if f"`{name}`" not in catalogue:
+                problems.append(
+                    f"{OBSERVABILITY_DOC.relative_to(REPO)}: run-log event "
+                    f"{name} (src/repro/{path.relative_to(SRC)}) is not "
+                    f"catalogued"
+                )
+
+
 def main() -> int:
     problems: list = []
     check_modules(problems)
@@ -207,14 +231,15 @@ def main() -> int:
     check_command_table(problems)
     check_links(problems)
     check_metrics(problems)
+    check_events(problems)
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
         print(f"check_docs: {len(problems)} problem(s)", file=sys.stderr)
         return 1
     print(
-        "check_docs: architecture tour, CLI flags, command table, links "
-        "and metric catalogue all consistent"
+        "check_docs: architecture tour, CLI flags, command table, links, "
+        "metric catalogue and run-log event catalogue all consistent"
     )
     return 0
 
