@@ -50,8 +50,8 @@ Commands:
     Emit a complete markdown failure report for one kernel.
 ``serve [--socket PATH | --port N] [--fleet N] [--cache-dir DIR]``
     Run the long-running checking service: accept check/detect/explore/
-    static jobs over a local socket, schedule them onto a process-pool
-    worker fleet, and dedupe identical submissions via the persistent
+    static jobs over a local socket, schedule them onto a fleet of fork
+    workers, and dedupe identical submissions via the persistent
     result cache (``docs/service.md``).
 ``submit KERNEL [--kind K] [--wait/--no-wait] [--socket PATH | --port N]``
     Submit one job to a running service and (by default) wait for its

@@ -20,7 +20,10 @@ The lock-order edges are maintained incrementally by the shared
 :class:`~repro.detectors.pipeline.LockOrderTracker`; this detector only
 reads the finished graph, so it is a pure :meth:`Detector.finish`
 analysis with no per-event work of its own.  The graph is built with
-:mod:`networkx`, which also supplies cycle enumeration.
+:mod:`networkx`, which also supplies cycle enumeration; each cycle is
+named from its least lock (:func:`repro.sim.sync.lock_cycles`, the rule
+the static analyzer names its cycles by), so a finding's text does not
+depend on the hash seed.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import networkx as nx
 from repro.detectors.base import Detector, Finding, FindingKind, Report
 from repro.detectors.pipeline import LockOrderTracker
 from repro.sim import events as ev
+from repro.sim.sync import lock_cycles
 from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -100,7 +104,7 @@ class DeadlockDetector(Detector):
 
     def _predicted(self, graph: "nx.DiGraph", report: Report) -> None:
         seen: Set[frozenset] = set()
-        for cycle in nx.simple_cycles(graph):
+        for cycle in lock_cycles(graph):
             key = frozenset(cycle)
             if key in seen:
                 continue

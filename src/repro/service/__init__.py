@@ -5,9 +5,9 @@ service: submissions arrive over a local socket as JSON lines
 (:mod:`~repro.service.protocol`), pass a dedup ladder — persistent
 verdict cache (:mod:`~repro.service.resultcache`), then in-flight
 coalescing and admission control (:mod:`~repro.service.queue`) — and
-run in submission order on a forked process-pool fleet
+run in submission order on a fleet of fork workers
 (:mod:`~repro.service.workers`), one :func:`~repro.service.jobs.run_job`
-dispatch per job.  ``repro status`` renders the
+request down a worker's pipe per job.  ``repro status`` renders the
 :mod:`~repro.service.dashboard`.  ``docs/service.md`` is the handbook:
 protocol reference, job lifecycle, cache-key semantics, fleet sizing,
 and a walkthrough.

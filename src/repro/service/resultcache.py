@@ -148,13 +148,19 @@ class ResultCache:
             "wall_seconds": wall_seconds,
             "created_ts": time.time(),
         }
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        data = memoryview(json.dumps(entry).encode("utf-8"))
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh)
-                fh.flush()
-                signature = _signature(os.fstat(fh.fileno()))
+            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        except FileNotFoundError:  # first put, or the root was removed
+            self.root.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        try:
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+                signature = _signature(os.fstat(fd))
+            finally:
+                os.close(fd)
             os.replace(tmp, self._path(key))
         except BaseException:
             try:

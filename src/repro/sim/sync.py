@@ -11,17 +11,21 @@ Mutexes track their owner so the engine can detect self-deadlock (the
 single-resource deadlocks of the study — roughly a quarter of the 31
 deadlock bugs involve only one resource, i.e. re-acquiring a held,
 non-recursive lock) and report meaningful wait-for edges.
+:func:`lock_cycles` names the cycles of a lock-order graph over these
+locks, for the dynamic deadlock detector and the static analyzer alike.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+
+import networkx as nx
 
 from repro.errors import ProgramError
 
 __all__ = [
     "Mutex", "RWLock", "Semaphore", "Condition", "Barrier", "Channel",
-    "SyncObjects",
+    "SyncObjects", "lock_cycles",
 ]
 
 
@@ -365,3 +369,16 @@ class SyncObjects:
                         f"sync object name {name!r} declared more than once"
                     )
                 seen.add(name)
+
+
+def lock_cycles(graph: "nx.DiGraph") -> Iterator[List[str]]:
+    """The simple cycles of a lock-order graph over lock names, each
+    started at its least lock name.
+
+    ``simple_cycles`` starts a cycle at a node in set order, which varies
+    with the hash seed, so texts naming a cycle would too.  The static
+    and the dynamic lock-order analyses both name their cycles here.
+    """
+    for cycle in nx.simple_cycles(graph):
+        first = cycle.index(min(cycle))
+        yield cycle[first:] + cycle[:first]

@@ -34,10 +34,11 @@ every other lock, exactly like the dynamic tracker's handling of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
+from repro.sim.sync import lock_cycles
 from repro.static.lockset import SiteContext, StaticCandidate
 from repro.static.summary import OpSite, ProgramSummary
 
@@ -45,7 +46,6 @@ __all__ = [
     "StaticLockEdge",
     "build_static_lock_order",
     "deadlock_candidates",
-    "lock_cycles",
 ]
 
 
@@ -112,15 +112,6 @@ def build_static_lock_order(
                     )
                     _add_edges(graph, reacquire, mutex, acquired_at, include_self=False)
     return graph
-
-
-def lock_cycles(graph: "nx.DiGraph") -> Iterator[List[str]]:
-    """The graph's simple cycles, each started at its least lock name
-    (``simple_cycles`` starts at a node in set order, which varies with
-    the hash seed, so texts naming a cycle would too)."""
-    for cycle in nx.simple_cycles(graph):
-        first = cycle.index(min(cycle))
-        yield cycle[first:] + cycle[:first]
 
 
 def _add_edges(

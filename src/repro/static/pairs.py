@@ -36,11 +36,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import networkx as nx
 
 from repro.sim.ops import Op, op_kind
-from repro.static.lockorder import (
-    StaticLockEdge,
-    build_static_lock_order,
-    lock_cycles,
-)
+from repro.sim.sync import lock_cycles
+from repro.static.lockorder import StaticLockEdge, build_static_lock_order
 from repro.static.lockset import SiteContext, StaticCandidate
 from repro.static.summary import OpSite, ProgramSummary, exclusive
 

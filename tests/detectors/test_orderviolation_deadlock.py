@@ -1,5 +1,9 @@
 """Order-violation and deadlock detector tests."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 
 from repro.detectors import (
@@ -223,6 +227,24 @@ class TestLockOrderGraph:
         report = DeadlockDetector().analyse(result.trace)
         predicted = report.of_kind(FindingKind.POTENTIAL_DEADLOCK)
         assert any(set(f.resources) == {"A", "B", "C"} for f in predicted)
+
+    def test_cycle_text_does_not_depend_on_the_hash_seed(self):
+        """Cycles are named from their least lock, so ``repro static``
+        prints one text under every ``PYTHONHASHSEED``."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        texts = set()
+        for seed in "0123":
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "static", "deadlock_three_way"],
+                capture_output=True, text=True, check=True, timeout=120,
+                env={"PYTHONPATH": src, "PYTHONHASHSEED": seed, "PATH": ""},
+            )
+            texts.add("".join(
+                line for line in proc.stdout.splitlines(keepends=True)
+                if "wall time" not in line
+            ))
+        (text,) = texts
+        assert "lock-order cycle A -> B -> C -> A: some schedule" in text
 
     def test_blocked_acquire_contributes_edge(self):
         prog = helpers.abba_deadlock()

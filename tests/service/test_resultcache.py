@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +225,21 @@ def test_put_leaves_no_temp_droppings(tmp_path):
         f"{KEY_A}.json",
         f"{KEY_B}.json",
     ]
+
+
+def test_entry_file_is_json_dumps_of_the_entry(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    stored = _put(cache, verdict={"kind": "detect", "note": "café " * 2000})
+    written = (cache.root / f"{KEY_A}.json").read_bytes()
+    assert written == json.dumps(stored).encode("utf-8")
+
+
+def test_root_removed_between_puts_is_created_again(tmp_path):
+    cache = ResultCache(tmp_path / "parent" / "cache")
+    _put(cache)
+    shutil.rmtree(tmp_path / "parent")
+    stored = _put(cache, key=KEY_B)
+    assert ResultCache(cache.root).get(KEY_B) == stored
 
 
 # -- the in-memory index -----------------------------------------------------
