@@ -9,13 +9,13 @@ turns a partial order over operation labels into a scheduling constraint:
   predecessor labels have executed;
 * everything else schedules freely.
 
-The constraint is implemented as an engine ``enabled_filter`` — no engine
-changes, no program changes.  If at some step *every* enabled thread is
-held back by the order (which can only happen when the order conflicts
-with the program's own synchronisation), the engine falls back to the
-unconstrained enabled set and the enforcer records the violation, so
-callers can distinguish "bug didn't manifest" from "order was
-unenforceable".
+The constraint is a scheduler that wraps the caller's scheduler — no
+engine changes, no program changes: it hands the inner scheduler only
+the enabled threads the order allows.  If at some step *every* enabled
+thread is held back by the order (which can only happen when the order
+conflicts with the program's own synchronisation), it hands over the
+unconstrained enabled set instead and records the violation, so callers
+can distinguish "bug didn't manifest" from "order was unenforceable".
 """
 
 from __future__ import annotations
@@ -33,10 +33,17 @@ __all__ = ["OrderEnforcer", "EnforcedRun", "enforce_order", "order_guarantees"]
 OrderPairs = Sequence[Tuple[str, str]]
 
 
-class OrderEnforcer:
-    """A scheduling filter holding back successors until predecessors ran."""
+class OrderEnforcer(Scheduler):
+    """A scheduler holding back successors until their predecessors ran.
 
-    def __init__(self, order: OrderPairs):
+    It wraps ``scheduler`` (seeded random by default) and chooses through
+    it.  ``stalled`` records that the order allowed no enabled thread at
+    some step; ``executed`` holds the label of every operation scheduled
+    so far.  The caller sets ``engine`` to the engine it drives before
+    the run, since the order is phrased over pending operations.
+    """
+
+    def __init__(self, order: OrderPairs, scheduler: Optional[Scheduler] = None):
         self.order: Tuple[Tuple[str, str], ...] = tuple(order)
         self.predecessors: Dict[str, Set[str]] = {}
         labels: Set[str] = set()
@@ -47,7 +54,12 @@ class OrderEnforcer:
             labels.update((earlier, later))
         self.labels = labels
         self._check_acyclic()
+        self.scheduler = (
+            scheduler if scheduler is not None else RandomScheduler(seed=0)
+        )
+        self.engine: Optional[Engine] = None
         self.stalled = False
+        self.executed: Set[str] = set()
 
     def _check_acyclic(self) -> None:
         visiting: Set[str] = set()
@@ -72,20 +84,27 @@ class OrderEnforcer:
     def reset(self) -> None:
         """Clear per-run state before a fresh run."""
         self.stalled = False
+        self.executed = set()
+        self.scheduler.reset()
 
-    def __call__(self, engine: Engine, enabled: List[str]) -> List[str]:
-        executed = set(engine.executed_labels)
+    def choose(self, enabled: Sequence[str], step: int) -> str:
+        engine = self.engine
+        executed = self.executed
         allowed: List[str] = []
         for name in enabled:
-            pending = engine.pending_op(name)
-            label = getattr(pending, "label", None)
+            label = engine.pending_op(name).label
             if label is not None and label in self.predecessors:
                 if not self.predecessors[label] <= executed:
                     continue
             allowed.append(name)
-        if not allowed and enabled:
+        if not allowed:
             self.stalled = True
-        return allowed
+            allowed = list(enabled)
+        choice = self.scheduler.choose(allowed, step)
+        label = engine.pending_op(choice).label
+        if label is not None:
+            executed.add(label)
+        return choice
 
 
 @dataclass
@@ -116,22 +135,16 @@ def enforce_order(
 ) -> EnforcedRun:
     """Run ``program`` with ``order`` enforced; report whether it held.
 
-    ``satisfied`` is false if the engine ever had to fall back because the
-    order fought the program's own synchronisation; ``missing_labels``
+    ``satisfied`` is false if the enforcer ever had to fall back because
+    the order fought the program's own synchronisation; ``missing_labels``
     lists constrained labels that never executed (e.g. a branch not
     taken), which also voids the guarantee.
     """
-    enforcer = OrderEnforcer(order)
-    engine = Engine(
-        program,
-        scheduler if scheduler is not None else RandomScheduler(seed=0),
-        max_steps=max_steps,
-        enabled_filter=enforcer,
-    )
-    enforcer.reset()
+    enforcer = OrderEnforcer(order, scheduler)
+    engine = Engine(program, enforcer, max_steps=max_steps)
+    enforcer.engine = engine
     result = engine.run()
-    executed = set(engine.executed_labels)
-    missing = tuple(sorted(enforcer.labels - executed))
+    missing = tuple(sorted(enforcer.labels - enforcer.executed))
     return EnforcedRun(
         result=result,
         satisfied=not enforcer.stalled,

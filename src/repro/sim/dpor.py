@@ -13,11 +13,15 @@ independent operations are never run at all.
 The algorithm is the classic stateless one (Flanagan & Godefroid,
 POPL'05), combined with sleep sets as in the paper's section 5:
 
-* every executed run is swept once to compute the **happens-before
-  relation** over its steps (program order + dependence, transitively
+* the search keeps its current execution path as one node per decision,
+  and each node records its step's **causal past** — the depths of the
+  steps that happen-before it (program order + dependence, transitively
   closed), using the same conservative footprints as sleep sets
   (:func:`~repro.sim.reduction.op_footprint` /
-  :func:`~repro.sim.reduction.ops_dependent`);
+  :func:`~repro.sim.reduction.ops_dependent`).  A past is computed
+  once, when the node's step is set: nodes persist across
+  re-executions, so a run computes only the pasts of the node it
+  branched at and of the nodes it appended;
 * at every fresh node, each enabled thread's pending operation is
   checked against the **last** dependent, possibly-co-enabled, earlier
   step not already ordered before it; a race adds the thread (or, via
@@ -196,33 +200,30 @@ def _terminal_node(engine: Engine) -> Optional["_Node"]:
     return _Node([], footprints, pending, frozenset(), None)
 
 
-def _causal_pasts(
-    steps: Sequence[Tuple[str, FrozenSet[Token]]]
-) -> List[Set[int]]:
-    """``pasts[i]``: indices of steps that happen-before step ``i``.
+def _causal_past(path: List["_Node"], depth: int) -> Set[int]:
+    """Depths of the steps on ``path`` that happen-before step ``depth``.
 
     Happens-before is program order plus dependence between executed
-    steps, transitively closed.  Quadratic in the run length, which is
-    bounded by the tiny kernel programs this simulator targets; the
-    sweep runs once per executed schedule.
+    steps, transitively closed.  Every step above ``depth`` already
+    holds its own past, so one pass over them closes this one.
     """
-    pasts: List[Set[int]] = []
-    last: Dict[str, int] = {}
-    for i, (thread, footprint) in enumerate(steps):
-        past: Set[int] = set()
-        previous = last.get(thread)
-        if previous is not None:
-            past |= pasts[previous]
-            past.add(previous)
-        for j in range(i):
-            if j in past:
-                continue
-            if ops_dependent(steps[j][1], footprint):
-                past |= pasts[j]
-                past.add(j)
-        pasts.append(past)
-        last[thread] = i
-    return pasts
+    node = path[depth]
+    thread = node.chosen
+    footprint = node.footprints[thread]
+    past: Set[int] = set()
+    for j in range(depth - 1, -1, -1):
+        if path[j].chosen == thread:
+            past |= path[j].past
+            past.add(j)
+            break
+    for j in range(depth):
+        if j in past:
+            continue
+        earlier = path[j]
+        if ops_dependent(earlier.footprints[earlier.chosen], footprint):
+            past |= earlier.past
+            past.add(j)
+    return past
 
 
 class _Node:
@@ -230,13 +231,14 @@ class _Node:
 
     Nodes persist across re-executions: when the search backtracks to a
     node, everything above it (and the node's own enabled set, pending
-    footprints, and sleep context) is unchanged — only the branches
-    below vary.
+    footprints, and sleep context) is unchanged — only the node's choice
+    and the branches below vary.  Its step (``chosen``) and that step's
+    causal past are set together.
     """
 
     __slots__ = (
         "enabled", "footprints", "pending", "sleep", "backtrack", "done",
-        "chosen", "truncated", "snapshot", "paid",
+        "chosen", "past", "truncated", "snapshot", "paid",
     )
 
     def __init__(
@@ -258,6 +260,9 @@ class _Node:
         self.backtrack: Set[str] = set()
         self.done: Set[str] = set()
         self.chosen: Optional[str] = None
+        #: Depths of the path steps that happen-before this node's step
+        #: (see :func:`_causal_past`).
+        self.past: Set[int] = set()
         #: A run through this node crashed or hit the step budget; later
         #: branches here start with an empty sleep set (no reduction
         #: credit from truncated runs).
@@ -269,29 +274,27 @@ class _Node:
 
 
 class _DPORScheduler(_SearchScheduler):
-    """Extend a run past its prefix while recording fresh decisions.
+    """Extend a run past its prefix, appending one path node per fresh
+    decision.
 
     Identical extension discipline to the sleep-set scheduler: threads
     asleep at a node are never chosen, sleepers wake when a dependent
     operation executes, and a node whose enabled threads are all asleep
-    prunes the run.  It records, per decision, the enabled set, every
-    live thread's pending op and footprint, the running sleep set, the
+    prunes the run.  Each node holds the enabled set, every live
+    thread's pending op and footprint, the running sleep set, the
     preemption cost paid so far, and (with a pipeline) a branch-point
-    snapshot.
+    snapshot; it takes its choice once the scheduler picks.
 
     Under a preemption bound the sleep set stays empty for the whole
     run; a cache aborts the run with :class:`MemoHit` at an
-    already-expanded fingerprint — *after* recording the node, so the
+    already-expanded fingerprint — *after* appending the node, so the
     aborted node's pending operations still join race detection.
     """
 
     def __init__(self, search: "DPORExplorer", sleep: FrozenSet[str]):
         super().__init__(search)
+        self.path = search._path
         self.track_sleep = self.preemption_bound is None
-        self.sleep_sets: List[FrozenSet[str]] = []
-        self.footprints: List[Dict[str, FrozenSet[Token]]] = []
-        self.pending_ops: List[Dict[str, ops.Op]] = []
-        self.paid_values: List[int] = []
         self._sleep = sleep if self.track_sleep else frozenset()
 
     def choose(self, enabled: Sequence[str], step: int) -> str:
@@ -309,22 +312,17 @@ class _DPORScheduler(_SearchScheduler):
             name: op_footprint(op, name, cond_locks)
             for name, op in pending.items()
         }
-        self.enabled_sets.append(ordered)
-        self.sleep_sets.append(self._sleep)
-        self.footprints.append(footprints)
-        self.pending_ops.append(pending)
-        self.paid_values.append(paid)
         awake = (
             [name for name in ordered if name not in self._sleep]
             if self.track_sleep
             else ordered
         )
-        if self.pipeline is not None:
-            # Aligned with enabled_sets even for the pruned node; only
-            # nodes with two awake threads can ever branch.
-            self.node_snapshots.append(
-                self.pipeline.snapshot() if len(awake) > 1 else None
-            )
+        snapshot = None
+        if self.pipeline is not None and len(awake) > 1:
+            # Only nodes with two awake threads can ever branch.
+            snapshot = self.pipeline.snapshot()
+        node = _Node(ordered, footprints, pending, self._sleep, snapshot, paid)
+        self.path.append(node)
         if not awake:
             self.pruned = True
             raise _AllAsleep("all enabled threads are asleep")
@@ -369,6 +367,9 @@ class _DPORScheduler(_SearchScheduler):
                 and not ops_dependent(footprints[name], chosen_footprint)
             )
         self._fresh_preemptions += _preemption_cost(last, choice, ordered)
+        node.chosen = choice
+        node.done.add(choice)
+        node.backtrack.add(choice)
         self.choices.append(choice)
         return choice
 
@@ -410,21 +411,25 @@ class DPORExplorer(_Search):
     def _attempt(
         self, seed: _Seed
     ) -> Tuple[Optional[RunResult], _DPORScheduler]:
-        """Run one seed and fold it into the path: extend the path with
-        the run's fresh nodes, sweep them for races, and withdraw
+        """Run one seed and fold it into the path: give the nodes the run
+        appended their causal pasts, sweep them for races, and withdraw
         reduction credit below a truncated run."""
         prefix, sleep, snapshot = seed
         base = len(prefix)
+        path = self._path
         scheduler = _DPORScheduler(self, sleep)
         run, engine = self._run(scheduler, prefix, snapshot, self._latest)
         self._latest = engine.trace
-        path = self._path
-        # A memo-aborted or pruned run stops at a recorded node, which
-        # _extend_path surfaces as the tail; a finished one may still
-        # have transitions pending.
-        tail = self._extend_path(path, scheduler)
-        if run is not None:
+        if run is None:
+            # A memo-aborted or pruned run stops at the node it appended
+            # last, without a step there: that node can never branch, but
+            # its pending operations still join race detection.
+            tail = path.pop()
+        else:
+            # A finished run may still have transitions pending.
             tail = _terminal_node(engine)
+        for depth in range(base, len(path)):
+            path[depth].past = _causal_past(path, depth)
         self._detect_races(path, base, tail)
         if run is None:
             # A memo-aborted run is truncated: the subtree below the
@@ -435,40 +440,11 @@ class DPORExplorer(_Search):
         else:
             truncated = run.status in (RunStatus.CRASH, RunStatus.ABORTED)
         if truncated:
-            self._handle_truncated(path, scheduler, base)
+            self._handle_truncated(path, base)
             self._truncation_races(path)
         return run, scheduler
 
     # -- internals ----------------------------------------------------------
-
-    def _extend_path(
-        self, path: List[_Node], scheduler: _DPORScheduler
-    ) -> Optional[_Node]:
-        """Append this run's fresh decisions as nodes; return the
-        recorded-but-unexecuted tail node (a sleep-pruned or memo-aborted
-        stop), if any."""
-        tail: Optional[_Node] = None
-        snapshots = scheduler.node_snapshots
-        for k in range(len(scheduler.enabled_sets)):
-            node = _Node(
-                enabled=scheduler.enabled_sets[k],
-                footprints=scheduler.footprints[k],
-                pending=scheduler.pending_ops[k],
-                sleep=scheduler.sleep_sets[k],
-                snapshot=snapshots[k] if k < len(snapshots) else None,
-                paid=scheduler.paid_values[k],
-            )
-            if k < len(scheduler.choices):
-                node.chosen = scheduler.choices[k]
-                node.done.add(node.chosen)
-                node.backtrack.add(node.chosen)
-                path.append(node)
-            else:
-                # The node a pruned or memo-aborted run stopped at: it
-                # can never branch here, but its pending operations
-                # still participate in race detection against the prefix.
-                tail = node
-        return tail
 
     def _detect_races(
         self, path: List[_Node], base: int, tail: Optional[_Node]
@@ -486,8 +462,6 @@ class DPORExplorer(_Search):
         steps = [
             (node.chosen, node.footprints[node.chosen]) for node in path
         ]
-        step_ops = [node.pending[node.chosen] for node in path]
-        pasts = _causal_pasts(steps)
         last: Dict[str, int] = {}
         total = len(path) + (1 if tail is not None else 0)
         for depth in range(total):
@@ -498,7 +472,7 @@ class DPORExplorer(_Search):
                     if previous is None:
                         thread_past: Set[int] = set()
                     else:
-                        thread_past = pasts[previous] | {previous}
+                        thread_past = path[previous].past | {previous}
                     footprint = node.footprints[thread]
                     pending = node.pending[thread]
                     for i in range(depth - 1, -1, -1):
@@ -506,14 +480,13 @@ class DPORExplorer(_Search):
                             continue  # ordered before the pending op
                         if not ops_dependent(steps[i][1], footprint):
                             continue
+                        earlier = steps[i][0]
                         if not _may_be_coenabled(
-                            steps[i][0], step_ops[i], thread, pending
+                            earlier, path[i].pending[earlier], thread, pending
                         ):
                             continue
                         self.races_detected += 1
-                        self._add_backtrack(
-                            path, thread, i, depth, steps, pasts, footprint
-                        )
+                        self._add_backtrack(path, thread, i, depth, footprint)
                         break  # only the most recent such step (FG)
             if depth < len(path):
                 last[steps[depth][0]] = depth
@@ -524,8 +497,6 @@ class DPORExplorer(_Search):
         thread: str,
         i: int,
         depth: int,
-        steps: List[Tuple[str, FrozenSet[Token]]],
-        pasts: List[Set[int]],
         pending_fp: Optional[FrozenSet[Token]],
     ) -> None:
         """Schedule the reversal of a race at the node before step ``i``.
@@ -550,7 +521,9 @@ class DPORExplorer(_Search):
         other element.
         """
         witness: List[Tuple[str, Optional[FrozenSet[Token]]]] = [
-            steps[j] for j in range(i + 1, depth) if i not in pasts[j]
+            (node.chosen, node.footprints[node.chosen])
+            for node in path[i + 1:depth]
+            if i not in node.past
         ]
         witness.append((thread, pending_fp))
         initials: Set[str] = set()
@@ -569,7 +542,7 @@ class DPORExplorer(_Search):
                 for m in range(k)
             ):
                 initials.add(name)
-        self._plant(path, i, initials, thread, steps)
+        self._plant(path, i, initials, thread)
 
     def _plant(
         self,
@@ -577,7 +550,6 @@ class DPORExplorer(_Search):
         i: int,
         initials: Set[str],
         thread: str,
-        steps: List[Tuple[str, FrozenSet[Token]]],
     ) -> None:
         """Apply the addition decision for a race at node ``i``."""
         pre = path[i]
@@ -604,7 +576,7 @@ class DPORExplorer(_Search):
         # Bounded mode: an infeasible waiter must not cover a reversal,
         # and additions that can never be selected are pointless — both
         # checks use the static branch cost at this node.
-        previous = steps[i - 1][0] if i > 0 else None
+        previous = path[i - 1].chosen if i > 0 else None
         feasible = {
             name
             for name in pre.enabled
@@ -622,7 +594,7 @@ class DPORExplorer(_Search):
         # this node even when it allows an equivalent one scheduled at a
         # context-switch boundary, where every enabled thread costs at
         # most what the explored path paid (Coons et al., OOPSLA'13).
-        self._plant_boundaries(path, i, initials, thread, steps)
+        self._plant_boundaries(path, i, initials, thread)
 
     def _plant_boundaries(
         self,
@@ -630,7 +602,6 @@ class DPORExplorer(_Search):
         i: int,
         initials: Set[str],
         thread: str,
-        steps: List[Tuple[str, FrozenSet[Token]]],
     ) -> None:
         """Plant conservative bounded-mode points at boundaries ≤ ``i``.
 
@@ -639,14 +610,10 @@ class DPORExplorer(_Search):
         initials; feasibility-filtered like every bounded addition.
         """
         for j in range(i, -1, -1):
-            if j != 0 and steps[j - 1][0] == steps[j][0]:
+            previous = path[j - 1].chosen if j > 0 else None
+            if previous == path[j].chosen:
                 continue
-            self._plant_boundary(
-                path[j],
-                steps[j - 1][0] if j > 0 else None,
-                initials,
-                thread,
-            )
+            self._plant_boundary(path[j], previous, initials, thread)
 
     def _plant_boundary(
         self,
@@ -670,9 +637,7 @@ class DPORExplorer(_Search):
         node.backtrack |= additions
         self.backtrack_points += len(node.backtrack) - before
 
-    def _handle_truncated(
-        self, path: List[_Node], scheduler: _DPORScheduler, base: int
-    ) -> None:
+    def _handle_truncated(self, path: List[_Node], base: int) -> None:
         """Withdraw reduction credit below a truncated run.
 
         A crash, the step budget, or a memo abort leaves the run's tail
@@ -682,15 +647,10 @@ class DPORExplorer(_Search):
         mirroring the sleep-set explorer, which pushes the siblings of
         truncated runs with empty sleep sets.
         """
-        for k in range(len(scheduler.enabled_sets)):
-            depth = base + k
-            if depth >= len(path):
-                break
-            node = path[depth]
+        for node in path[base:]:
             node.truncated = True
-            asleep = scheduler.sleep_sets[k]
             node.backtrack.update(
-                name for name in node.enabled if name not in asleep
+                name for name in node.enabled if name not in node.sleep
             )
 
     def _truncation_races(self, path: List[_Node]) -> None:
@@ -711,17 +671,13 @@ class DPORExplorer(_Search):
         if not path:
             return
         last = len(path) - 1
-        steps = [
-            (node.chosen, node.footprints[node.chosen]) for node in path
-        ]
-        pasts = _causal_pasts(steps)
-        thread = steps[last][0]
-        thread_past = pasts[last] | {last}
+        thread = path[last].chosen
+        past = path[last].past
         for i in range(last - 1, -1, -1):
-            if i in thread_past or steps[i][0] == thread:
+            if i in past or path[i].chosen == thread:
                 continue
             self.races_detected += 1
-            self._add_backtrack(path, thread, i, last, steps, pasts, None)
+            self._add_backtrack(path, thread, i, last, None)
             break
 
     def _next_seed(self) -> Optional[_Seed]:
@@ -777,6 +733,9 @@ class DPORExplorer(_Search):
             node.done.add(choice)
             node.chosen = choice
             del path[depth + 1:]
+            # The branch takes a new step here, so its past changes;
+            # every node above keeps its own.
+            node.past = _causal_past(path, depth)
             prefix = [n.chosen for n in path]
             return prefix, new_sleep, node.snapshot
         return None

@@ -5,9 +5,9 @@ threads) and drives the step loop:
 
 1. compute the set of *enabled* threads (those whose pending operation can
    execute right now);
-2. let the scheduler pick one (optionally pre-filtered by an
-   ``enabled_filter`` hook — this is how access-order enforcement is
-   layered on without touching the engine);
+2. let the scheduler pick one (a scheduler may wrap another — this is
+   how access-order enforcement is layered on without touching the
+   engine);
 3. execute the chosen thread's pending operation, emit trace events, and
    advance its generator.
 
@@ -20,8 +20,7 @@ Exploration runs start with a *forced prefix*: the schedule of the
 branch being re-executed.  The engine owns it (``prefix=``) and replays
 it before the first scheduler decision, checking only that each forced
 thread is enabled — that check is the divergence check.  Replayed steps
-make no scheduler call, no enabled-set scan and no ``enabled_filter``
-call (the two options exclude each other).  When the caller also
+make no scheduler call and no enabled-set scan.  When the caller also
 passes the trace of the run the prefix was cut from (``prefix_events=``),
 replayed steps build no events and call no hook either: the trace starts
 as that run's first events, which are immutable and identical because
@@ -62,8 +61,6 @@ __all__ = ["RunStatus", "RunResult", "Engine", "run_program"]
 #: explicit flush pseudo-steps into the schedule first, keeping every
 #: visibility transition a first-class scheduling decision.
 _UNFENCED_OPS = frozenset((ops.Read, ops.Write, ops.Yield, ops.Sleep))
-
-EnabledFilter = Callable[["Engine", List[str]], List[str]]
 
 
 class RunStatus(enum.Enum):
@@ -117,9 +114,7 @@ class Engine:
     ``prefix_events`` — the trace of the run the prefix was cut from —
     ``event_hook`` sees no event before the last forced step, so the
     caller must only pass it when the hook needs none (a streaming
-    pipeline restored from the branch point's snapshot).  An
-    ``enabled_filter`` acts only in the decision loop, so combining it
-    with a ``prefix`` raises :class:`ValueError`.
+    pipeline restored from the branch point's snapshot).
     """
 
     def __init__(
@@ -127,20 +122,13 @@ class Engine:
         program: Program,
         scheduler: Scheduler,
         max_steps: int = 20000,
-        enabled_filter: Optional[EnabledFilter] = None,
         event_hook: Optional[Callable[[ev.Event], None]] = None,
         prefix: Sequence[str] = (),
         prefix_events: Optional[Sequence[ev.Event]] = None,
     ):
-        if prefix and enabled_filter is not None:
-            raise ValueError(
-                "an enabled_filter cannot be combined with a forced prefix: "
-                "the prefix replays without consulting the filter"
-            )
         self.program = program
         self.scheduler = scheduler
         self.max_steps = max_steps
-        self.enabled_filter = enabled_filter
         # Called with each event right after it is appended to the trace;
         # this is how streaming detector pipelines observe a run live.
         self._event_hook = event_hook
@@ -162,8 +150,6 @@ class Engine:
         self._crashes: List[str] = []
         # Started threads that have not finished or crashed.
         self._live = 0
-        # Labels already executed, visible to enabled_filter implementations.
-        self.executed_labels: List[str] = []
 
     # -- public API -------------------------------------------------------
 
@@ -209,16 +195,11 @@ class Engine:
                 status = RunStatus.ABORTED
                 stop_reason = f"step budget of {self.max_steps} exhausted"
                 break
-            allowed = enabled
-            if self.enabled_filter is not None:
-                filtered = self.enabled_filter(self, list(enabled))
-                if filtered:
-                    allowed = filtered
-            chosen = self.scheduler.choose(allowed, self.steps)
-            if chosen not in allowed:
+            chosen = self.scheduler.choose(enabled, self.steps)
+            if chosen not in enabled:
                 raise SchedulerError(
                     f"scheduler chose {chosen!r}, not in enabled set "
-                    f"{sorted(allowed)}"
+                    f"{sorted(enabled)}"
                 )
             self.schedule.append(chosen)
             self.steps += 1
@@ -401,20 +382,14 @@ class Engine:
     def _execute_flush(self, chosen: str) -> None:
         owner = chosen[len(FLUSH_PREFIX):]
         var, value, old, label = self.memory.flush_one(owner)
-        derived = flush_label(label)
-        if derived is not None:
-            self.executed_labels.append(derived)
         self._emit(
-            ev.FlushEvent, thread=owner, label=derived, var=var, value=value,
-            old=old,
+            ev.FlushEvent, thread=owner, label=flush_label(label), var=var,
+            value=value, old=old,
         )
 
     def _execute(self, vt: VirtualThread) -> None:
         op = vt.pending
         assert op is not None
-        label = op.label
-        if label is not None:
-            self.executed_labels.append(label)
         self._HANDLERS[type(op)](self, vt, op)
 
     def _exec_read(self, vt: VirtualThread, op: ops.Read) -> None:
@@ -788,9 +763,6 @@ def run_program(
     program: Program,
     scheduler: Scheduler,
     max_steps: int = 20000,
-    enabled_filter: Optional[EnabledFilter] = None,
 ) -> RunResult:
     """Convenience wrapper: build an :class:`Engine` and run it once."""
-    return Engine(
-        program, scheduler, max_steps=max_steps, enabled_filter=enabled_filter
-    ).run()
+    return Engine(program, scheduler, max_steps=max_steps).run()

@@ -172,10 +172,11 @@ class _SearchScheduler(Scheduler):
 
     Each instance drives exactly one run.  The engine replays the forced
     prefix itself, so every ``choose`` call is a fresh decision; a
-    subclass records, per decision, the sorted enabled set and the choice
-    made, plus the directed sort keys and the pipeline snapshot where
-    they apply.  :meth:`_Search._run` sets ``engine`` right after
-    building the engine.
+    subclass records, per decision, the choice made and what its node
+    policy needs: the stack policy keeps the sorted enabled set, plus the
+    directed sort keys and the pipeline snapshot where they apply, in
+    the lists below, and DPOR appends a path node instead.
+    :meth:`_Search._run` sets ``engine`` right after building the engine.
     """
 
     #: Set when the run was cut because every enabled thread was asleep.

@@ -8,17 +8,19 @@ CHESS showed most real bugs need <=2 preemptions).
 
 ``minimize_preemptions`` searches with an increasing preemption bound and
 returns the first failing run, whose bound is by construction minimal.
-``preemption_count`` scores any schedule by re-executing it with
-enabled-set instrumentation, so "was that switch forced or pre-emptive?"
-is answered exactly rather than guessed from the schedule text.
+``preemption_count`` scores any schedule by replaying it as the
+engine's forced prefix, whose accounting tests whether the thread
+switched away from was still enabled, so "was that switch forced or
+pre-emptive?" is answered exactly rather than guessed from the schedule
+text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from repro.errors import ReplayError
+from repro.errors import ExplorationError, ReplayError
 from repro.sim.engine import Engine, RunResult
 from repro.sim.explorer import Explorer
 from repro.sim.program import Program
@@ -27,39 +29,23 @@ from repro.sim.scheduler import FixedScheduler
 __all__ = ["MinimalWitness", "minimize_preemptions", "preemption_count"]
 
 
-class _InstrumentedReplay(FixedScheduler):
-    """Fixed replay that also records the enabled set at each step."""
-
-    def __init__(self, schedule: Sequence[str]):
-        super().__init__(schedule, strict=True)
-        self.enabled_sets: List[List[str]] = []
-
-    def choose(self, enabled, step):
-        self.enabled_sets.append(sorted(enabled))
-        return super().choose(enabled, step)
-
-    def reset(self) -> None:
-        super().reset()
-        self.enabled_sets = []
-
-
 def preemption_count(program: Program, schedule: Sequence[str]) -> int:
     """Exact number of pre-emptive switches in ``schedule``.
 
     A switch from thread *t* to a different thread at step *i* is
     pre-emptive iff *t* was still enabled at step *i*.  Raises
     :class:`~repro.errors.ReplayError` if the schedule does not fit the
-    program.
+    program: a step forces a thread that is not enabled, or the schedule
+    ends while threads are still enabled.
     """
-    recorder = _InstrumentedReplay(schedule)
-    Engine(program, recorder).run()
-    count = 0
-    previous: Optional[str] = None
-    for choice, enabled in zip(schedule, recorder.enabled_sets):
-        if previous is not None and choice != previous and previous in enabled:
-            count += 1
-        previous = choice
-    return count
+    # Past the prefix the engine asks the scheduler, which an empty
+    # strict replay refuses.
+    engine = Engine(program, FixedScheduler(()), prefix=schedule)
+    try:
+        engine.run()
+    except ExplorationError as diverged:
+        raise ReplayError(f"schedule does not fit {program.name}") from diverged
+    return engine.prefix_preemptions
 
 
 @dataclass(frozen=True)

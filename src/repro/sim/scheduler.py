@@ -174,7 +174,7 @@ class FixedScheduler(Scheduler):
             return sorted(enabled)[0]
         if self.strict:
             raise ReplayError(
-                f"replay schedule exhausted after {len(self.schedule)} steps "
+                f"replay schedule exhausted after {step} steps "
                 f"but the program still has enabled threads"
             )
         return sorted(enabled)[0]

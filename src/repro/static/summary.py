@@ -37,11 +37,11 @@ import ast
 import builtins
 import inspect
 import textwrap
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ReproError
-from repro.sim.ops import Op, op_kind
+from repro.sim.ops import OP_KINDS, Op, op_kind
 from repro.sim.program import Program
 
 __all__ = [
@@ -315,66 +315,14 @@ def summarize_thread(
 
 # -- AST extraction ----------------------------------------------------------
 
-#: Op class name -> dataclass field order (positional argument mapping).
-#: Only the resource field and ``label`` are resolved; value/fn/ticks
-#: arguments are abstracted away.
-_OP_FIELDS: Dict[str, Tuple[str, ...]] = {
-    "Read": ("var", "label"),
-    "Write": ("var", "value", "label"),
-    "AtomicUpdate": ("var", "fn", "label"),
-    "Acquire": ("lock", "label"),
-    "Release": ("lock", "label"),
-    "TryAcquire": ("lock", "label"),
-    "AcquireRead": ("rwlock", "label"),
-    "AcquireWrite": ("rwlock", "label"),
-    "ReleaseRead": ("rwlock", "label"),
-    "ReleaseWrite": ("rwlock", "label"),
-    "Wait": ("cond", "label"),
-    "Notify": ("cond", "label"),
-    "NotifyAll": ("cond", "label"),
-    "SemAcquire": ("sem", "label"),
-    "SemRelease": ("sem", "label"),
-    "BarrierWait": ("barrier", "label"),
-    "Spawn": ("thread", "label"),
-    "Join": ("thread", "label"),
-    "Yield": ("label",),
-    "Sleep": ("ticks", "label"),
-    "Send": ("chan", "value", "label"),
-    "Recv": ("chan", "label"),
-    "Select": ("chans", "label"),
-    "Fence": ("label",),
+#: Op class name -> (kind, resource field, dataclass field order), for
+#: every class in :data:`~repro.sim.ops.OP_KINDS`.  The field order maps
+#: positional arguments; only the resource field and ``label`` are
+#: resolved, and value/fn/ticks arguments are abstracted away.
+_OPS_BY_NAME: Dict[str, Tuple[str, Optional[str], Tuple[str, ...]]] = {
+    cls.__name__: (kind, resource, tuple(f.name for f in fields(cls)))
+    for cls, (kind, resource) in OP_KINDS.items()
 }
-
-_OP_KIND_BY_NAME: Dict[str, str] = {
-    "Read": "read",
-    "Write": "write",
-    "AtomicUpdate": "atomic",
-    "Acquire": "acquire",
-    "Release": "release",
-    "TryAcquire": "tryacquire",
-    "AcquireRead": "acquire_read",
-    "AcquireWrite": "acquire_write",
-    "ReleaseRead": "release_read",
-    "ReleaseWrite": "release_write",
-    "Wait": "wait",
-    "Notify": "notify",
-    "NotifyAll": "notify_all",
-    "SemAcquire": "sem_acquire",
-    "SemRelease": "sem_release",
-    "BarrierWait": "barrier_wait",
-    "Spawn": "spawn",
-    "Join": "join",
-    "Yield": "yield",
-    "Sleep": "sleep",
-    "Send": "send",
-    "Recv": "recv",
-    "Select": "select",
-    "Fence": "fence",
-}
-
-_RESOURCE_FIELDS = frozenset(
-    {"var", "lock", "rwlock", "cond", "sem", "barrier", "thread", "chan"}
-)
 
 
 class _Extractor:
@@ -449,18 +397,18 @@ class _Extractor:
             op_name = func.attr
         else:
             op_name = None
-        if op_name not in _OP_FIELDS:
+        if op_name not in _OPS_BY_NAME:
             self.approximate = True
             self.notes.append(
                 f"line {call.lineno}: unknown operation constructor "
                 f"{ast.dump(func)[:40]}; site skipped"
             )
             return []
-        fields = _OP_FIELDS[op_name]
+        kind, resource_field, positional = _OPS_BY_NAME[op_name]
         bound: Dict[str, ast.expr] = {}
         for position, arg in enumerate(call.args):
-            if position < len(fields):
-                bound[fields[position]] = arg
+            if position < len(positional):
+                bound[positional[position]] = arg
         for keyword in call.keywords:
             if keyword.arg is not None:
                 bound[keyword.arg] = keyword.value
@@ -488,7 +436,6 @@ class _Extractor:
                 for chan in chans
             ]
         obj: Optional[str] = None
-        resource_field = next((f for f in fields if f in _RESOURCE_FIELDS), None)
         if resource_field is not None:
             obj, ok = self._resolve(bound.get(resource_field))
             if not ok:
@@ -500,11 +447,7 @@ class _Extractor:
                 )
             elif obj is not None and not isinstance(obj, str):
                 obj = str(obj)
-        return [
-            self._emit_site(
-                _OP_KIND_BY_NAME[op_name], obj, label, conditional, call.lineno
-            )
-        ]
+        return [self._emit_site(kind, obj, label, conditional, call.lineno)]
 
     def _emit_site(
         self,

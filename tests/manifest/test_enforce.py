@@ -110,6 +110,35 @@ class TestEnforcedRuns:
         if run.result.status is RunStatus.OK:
             assert isinstance(run.satisfied, bool)
 
+    def test_order_the_locking_forbids_stalls_on_every_schedule(self):
+        """H enters first, so B's write can only follow H's: the order
+        allows no enabled thread once H holds the lock, on every seed."""
+        from repro.sim import Acquire, Release
+
+        def critical(name):
+            def body():
+                yield Acquire("L", label=f"{name}.enter")
+                yield Write("x", name, label=f"{name}.write")
+                yield Release("L")
+
+            return body
+
+        prog = Program(
+            "lock-forbids-order",
+            threads={"H": critical("H"), "B": critical("B")},
+            initial={"x": None},
+            locks=["L"],
+        )
+        order = [("H.enter", "B.enter"), ("B.write", "H.write")]
+        for seed in range(10):
+            run = enforce_order(prog, order, scheduler=RandomScheduler(seed=seed))
+            assert run.satisfied is False, seed
+            assert not run.ok
+            # The fallback lets the run finish: H, then B.
+            assert run.result.status is RunStatus.OK
+            assert run.result.memory["x"] == "B"
+            assert run.missing_labels == ()
+
 
 class TestGuarantees:
     def test_every_kernel_order_guarantees_manifestation(self):

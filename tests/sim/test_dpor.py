@@ -24,11 +24,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import assume, given, settings
 
+from repro.detectors.pipeline import DetectorPipeline
+from repro.detectors.suite import default_detectors
 from repro.kernels import all_kernels
 from repro.sim import Explorer, Program, Write
 from repro.sim.dpor import DPORExplorer
 from repro.sim.explorer import enumerate_outcomes, find_schedule, make_explorer
-from repro.sim.reduction import SleepSetExplorer
+from repro.sim.reduction import SleepSetExplorer, ops_dependent
 from tests import helpers
 from tests.helpers import corpus_programs
 
@@ -349,3 +351,86 @@ class TestEntryPoints:
         assert serial.complete and reduced.complete
         assert set(reduced.outcomes) == set(serial.outcomes)
         assert reduced.schedules_run <= serial.schedules_run
+
+
+# -- the path's causal pasts ---------------------------------------------------
+
+
+def _reference_pasts(path):
+    """Happens-before over the path's steps, from scratch.
+
+    Step ``j`` precedes step ``i`` directly when both run on one thread
+    or their footprints are dependent; a step's past is the transitive
+    closure of its direct predecessors.
+    """
+    steps = [(node.chosen, node.footprints[node.chosen]) for node in path]
+    pasts = []
+    for i, (thread, footprint) in enumerate(steps):
+        direct = {
+            j
+            for j, (other, other_footprint) in enumerate(steps[:i])
+            if other == thread or ops_dependent(other_footprint, footprint)
+        }
+        past = set(direct)
+        for j in direct:
+            past |= pasts[j]
+        pasts.append(past)
+    return pasts
+
+
+def _drain_checking_pasts(explorer):
+    """Pull a DPOR search to its end, one attempt per pull; after every
+    pull each path node's stored past must equal the reference."""
+    search = explorer.attempts(predicate=lambda run: False)
+    pulls = 0
+    while True:
+        pulls += 1
+        try:
+            next(search)
+        except StopIteration:
+            ended = True
+        else:
+            ended = False
+        path = explorer._path
+        assert [node.past for node in path] == _reference_pasts(path), pulls
+        if ended:
+            return
+
+
+#: The DPOR searches whose pasts are checked: plain, memoized (memo
+#: aborts are truncated runs), bounded, and with a detector pipeline.
+PAST_SEARCHES = {
+    "plain": lambda program: DPORExplorer(program, max_schedules=BUDGET),
+    "memoize": lambda program: DPORExplorer(
+        program, max_schedules=BUDGET, memoize=True
+    ),
+    "bound2": lambda program: DPORExplorer(
+        program, max_schedules=BUDGET, preemption_bound=2
+    ),
+    "pipeline": lambda program: DPORExplorer(
+        program, max_schedules=BUDGET,
+        pipeline=DetectorPipeline(default_detectors(program)),
+    ),
+}
+
+
+class TestCausalPasts:
+    """Each path node keeps its step's causal past: computed once when
+    the step is set, and again when the search branches at the node."""
+
+    @pytest.mark.parametrize("search", sorted(PAST_SEARCHES))
+    @pytest.mark.parametrize(
+        "kernel", all_kernels(), ids=lambda kernel: kernel.name
+    )
+    def test_kernel_pasts_match_reference_after_every_pull(
+        self, kernel, search
+    ):
+        _drain_checking_pasts(PAST_SEARCHES[search](kernel.buggy))
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(corpus_programs(with_specs=True))
+    def test_crashing_program_pasts_match_reference(self, generated):
+        program, specs = generated
+        assume(any(crashes for _locked, _ops, crashes in specs))
+        for search in sorted(PAST_SEARCHES):
+            _drain_checking_pasts(PAST_SEARCHES[search](program))

@@ -352,34 +352,6 @@ class TestSchedulerContract:
         with pytest.raises(SchedulerError):
             Engine(prog, Rogue()).run()
 
-    def test_enabled_filter_restricts_choices(self):
-        prog = helpers.racy_counter()
-
-        def only_t2_first(engine, enabled):
-            if engine.steps == 0 and "T2" in enabled:
-                return ["T2"]
-            return enabled
-
-        result = run_program(
-            prog, CooperativeScheduler(), enabled_filter=only_t2_first
-        )
-        assert result.schedule[0] == "T2"
-
-    def test_empty_filter_result_falls_back_to_enabled(self):
-        prog = helpers.racy_counter()
-        result = run_program(
-            prog, CooperativeScheduler(), enabled_filter=lambda e, en: []
-        )
-        assert result.status is RunStatus.OK
-
-    def test_filter_with_forced_prefix_is_refused(self):
-        prog = helpers.racy_counter()
-        with pytest.raises(ValueError, match="forced prefix"):
-            Engine(
-                prog, CooperativeScheduler(), prefix=["T1"],
-                enabled_filter=lambda e, en: en,
-            )
-
 
 class _StepRecorder(CooperativeScheduler):
     """Cooperative, remembering the steps it was asked to decide."""

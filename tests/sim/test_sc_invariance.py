@@ -1,8 +1,8 @@
 """Refactor-invariance guard: the SC path is bit-identical to pre-refactor.
 
-``tests/data/sc_invariance.json`` was captured (``tools/capture_sc_baseline.py``)
-against commit 5d82cca — the tree where ``SharedMemory`` *was* the memory
-layer, before it became the pluggable ``MemoryModel`` family.  This test
+``tests/data/sc_invariance.json`` was captured against commit 5d82cca —
+the tree where ``SharedMemory`` *was* the memory layer, before it became
+the pluggable ``MemoryModel`` family.  This test
 re-measures every (kernel, explorer config) cell on the current tree and
 asserts the whole row — outcome-set digest, schedules run, states
 expanded, cache hits, status tally, DPOR telemetry — matches the golden
@@ -10,14 +10,17 @@ file exactly.  Not just "same outcomes": the *explored tree itself* must
 be unchanged, which is the ISSUE's definition of the SC path being a
 pure refactor.
 
-If a cell legitimately changes (a new reduction, a scheduler fix), re-run
-the capture tool against the new tree and say why in the commit.
+If a cell legitimately changes (a new reduction, a scheduler fix),
+re-capture the file against the new tree with
+``PYTHONPATH=src python -m tests.sim.test_sc_invariance >
+tests/data/sc_invariance.json`` and say why in the commit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,7 +31,7 @@ from repro.sim.explorer import make_explorer
 GOLDEN = Path(__file__).resolve().parent.parent / "data" / "sc_invariance.json"
 DATA = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
-#: Mirrors tools/capture_sc_baseline.py CONFIGS — keep in lockstep.
+#: The explorer configurations every SC kernel is measured under.
 CONFIGS = {
     "dfs": {"reduction": None},
     "dfs-bound2": {"reduction": None, "preemption_bound": 2},
@@ -95,3 +98,20 @@ def test_sc_exploration_matches_pre_refactor_baseline(name):
             f"pre-refactor baseline"
         )
 
+
+def capture() -> dict:
+    """Measure every (kernel, config) cell (the golden file's contents)."""
+    return {
+        "schema": "repro.sc-invariance/v1",
+        "kernels": {
+            name: {
+                config_name: _measure(kernel.buggy, config)
+                for config_name, config in CONFIGS.items()
+            }
+            for name, kernel in SC_KERNELS.items()
+        },
+    }
+
+
+if __name__ == "__main__":
+    sys.stdout.write(json.dumps(capture(), indent=2, sort_keys=True) + "\n")

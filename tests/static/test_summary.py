@@ -1,5 +1,8 @@
 """Thread-summary extraction: AST path, fallback path, exclusivity."""
 
+import dataclasses
+import importlib.util
+
 import pytest
 
 from repro.sim import (
@@ -9,7 +12,9 @@ from repro.sim import (
     Release,
     Write,
 )
+from repro.sim.ops import OP_KINDS
 from repro.static import exclusive, summarize_program
+from repro.static.summary import summarize_thread
 from tests.helpers import (
     abba_deadlock,
     corpus_program,
@@ -58,6 +63,47 @@ class TestAstExtraction:
         summary = summarize_program(spawn_join_chain())
         kinds = [s.kind for s in summary.threads["Main"].sites]
         assert kinds[:2] == ["spawn", "join"]
+
+
+class TestOpVocabulary:
+    def test_every_op_kind_summarizes_to_its_kind_and_resource(self, tmp_path):
+        """One body per :data:`OP_KINDS` class, its constructor called
+        with every field positional: each summarizes to one exact site
+        of the class's kind, on its resource (a select's: its channel)."""
+
+        def argument(name, resource):
+            if name == resource:
+                return '"r"'
+            return {"label": '"site"', "chans": '("r",)', "ticks": "1"}.get(
+                name, "None"
+            )
+
+        source = ["from repro.sim.ops import *", ""]
+        for cls, (_kind, resource) in OP_KINDS.items():
+            arguments = ", ".join(
+                argument(field.name, resource)
+                for field in dataclasses.fields(cls)
+            )
+            source += [
+                f"def {cls.__name__}_body():",
+                f"    yield {cls.__name__}({arguments})",
+                "",
+            ]
+        path = tmp_path / "op_bodies.py"
+        path.write_text("\n".join(source))
+        spec = importlib.util.spec_from_file_location("op_bodies", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert len(OP_KINDS) == 24
+        for cls, (kind, resource) in OP_KINDS.items():
+            summary = summarize_thread(
+                "T", getattr(module, f"{cls.__name__}_body")
+            )
+            assert not summary.approximate, summary.notes
+            (site,) = summary.sites
+            channel = cls.__name__ == "Select"
+            obj = "r" if resource is not None or channel else None
+            assert (site.kind, site.obj, site.label) == (kind, obj, "site"), cls
 
 
 class TestDynamicFallback:
